@@ -1,14 +1,13 @@
-// Experiment J1 — the two-tier JIT's headline: the type-specialized
-// tier closes the gap between the call-threaded JIT and native C.
+// Experiment J1 — the JIT's specialized regions against the VM they run
+// inside, and against native C.
 //
 // The paper's §VI kernels (1-D heat stencil, n-body accumulation),
-// reduced to their inner loops, on four execution variants:
-//   vm        — bytecode VM (the semantic reference)
-//   jit-ct    — call-threaded JIT only (RunConfig::jit_spec = false)
-//   jit-spec  — with the register-allocating specialized tier
-//   native    — Backend::kNative (lcc-emitted C via the host cc)
-// The shape that must reproduce: jit-spec >= 2x jit-ct on these loops,
-// and jit-spec within 3x of native.
+// reduced to their inner loops, on three execution variants:
+//   vm      — bytecode VM (the semantic reference)
+//   jit     — the VM with its type-specialized regions in machine code
+//   native  — Backend::kNative (lcc-emitted C via the host cc)
+// These are probes of one layer; the end-to-end numbers on the
+// unreduced paper programs live in e2ebench/.
 #include <string>
 
 #include "bench_common.hpp"
@@ -18,9 +17,8 @@
 namespace {
 
 // §VI heat: Jacobi sweeps over a private SRSLY NUMBAR block. Indexed
-// loads/stores stay helper calls in both tiers; the stencil arithmetic
-// and the loop counters are what the specialized tier lifts into
-// registers.
+// loads/stores stay helper calls; the stencil arithmetic and the loop
+// counters are what the specialized regions lift into registers.
 std::string heat_kernel(int sweeps) {
   return "HAI 1.2\n"
          "I HAS A u ITZ SRSLY LOTZ A NUMBARS AN THAR IZ 66\n"
@@ -51,7 +49,7 @@ std::string heat_kernel(int sweeps) {
 // §VI n-body: the pairwise force accumulation, with the softened
 // inverse square replaced by its multiply/add core (QUOSHUNT can throw,
 // which would end every region) — straight-line NUMBAR arithmetic, the
-// specialized tier's best case.
+// specialized regions' best case.
 std::string nbody_kernel(int pairs) {
   return "HAI 1.2\n"
          "I HAS A fx ITZ SRSLY A NUMBAR AN ITZ 0.0\n"
@@ -79,8 +77,7 @@ constexpr int kSweeps = 300;
 constexpr int kPairs = 20000;
 
 void run_variant(benchmark::State& state, const std::string& src,
-                 lol::Backend backend, std::optional<bool> jit_spec,
-                 std::int64_t items) {
+                 lol::Backend backend, std::int64_t items) {
   if (backend == lol::Backend::kJit && !lol::codegen::jit_available()) {
     state.SkipWithError("jit unavailable on this host");
     return;
@@ -93,7 +90,6 @@ void run_variant(benchmark::State& state, const std::string& src,
   auto prog = bench::compile_once(src);
   lol::RunConfig cfg;
   cfg.backend = backend;
-  cfg.jit_spec = jit_spec;
   // Warm the code caches outside the timed loop (native pays a cc fork
   // on the cold run).
   if (!lol::run(prog, cfg).ok) {
@@ -111,64 +107,49 @@ constexpr std::int64_t kHeatItems =
     static_cast<std::int64_t>(kSweeps) * 2 * 64;
 
 void BM_Heat_Vm(benchmark::State& s) {
-  run_variant(s, heat_kernel(kSweeps), lol::Backend::kVm, {}, kHeatItems);
-}
-void BM_Heat_JitCallThreaded(benchmark::State& s) {
-  run_variant(s, heat_kernel(kSweeps), lol::Backend::kJit, false,
-              kHeatItems);
+  run_variant(s, heat_kernel(kSweeps), lol::Backend::kVm, kHeatItems);
 }
 void BM_Heat_JitSpecialized(benchmark::State& s) {
-  run_variant(s, heat_kernel(kSweeps), lol::Backend::kJit, true,
-              kHeatItems);
+  run_variant(s, heat_kernel(kSweeps), lol::Backend::kJit, kHeatItems);
 }
 void BM_Heat_Native(benchmark::State& s) {
-  run_variant(s, heat_kernel(kSweeps), lol::Backend::kNative, {},
-              kHeatItems);
+  run_variant(s, heat_kernel(kSweeps), lol::Backend::kNative, kHeatItems);
 }
 
 void BM_Nbody_Vm(benchmark::State& s) {
-  run_variant(s, nbody_kernel(kPairs), lol::Backend::kVm, {}, kPairs);
-}
-void BM_Nbody_JitCallThreaded(benchmark::State& s) {
-  run_variant(s, nbody_kernel(kPairs), lol::Backend::kJit, false, kPairs);
+  run_variant(s, nbody_kernel(kPairs), lol::Backend::kVm, kPairs);
 }
 void BM_Nbody_JitSpecialized(benchmark::State& s) {
-  run_variant(s, nbody_kernel(kPairs), lol::Backend::kJit, true, kPairs);
+  run_variant(s, nbody_kernel(kPairs), lol::Backend::kJit, kPairs);
 }
 void BM_Nbody_Native(benchmark::State& s) {
-  run_variant(s, nbody_kernel(kPairs), lol::Backend::kNative, {}, kPairs);
+  run_variant(s, nbody_kernel(kPairs), lol::Backend::kNative, kPairs);
 }
 
 }  // namespace
 
 BENCHMARK(BM_Heat_Vm)->Unit(benchmark::kMillisecond)->MinTime(0.2);
-BENCHMARK(BM_Heat_JitCallThreaded)
-    ->Unit(benchmark::kMillisecond)
-    ->MinTime(0.2);
 BENCHMARK(BM_Heat_JitSpecialized)
     ->Unit(benchmark::kMillisecond)
     ->MinTime(0.2);
 BENCHMARK(BM_Heat_Native)->Unit(benchmark::kMillisecond)->MinTime(0.2);
 BENCHMARK(BM_Nbody_Vm)->Unit(benchmark::kMillisecond)->MinTime(0.2);
-BENCHMARK(BM_Nbody_JitCallThreaded)
-    ->Unit(benchmark::kMillisecond)
-    ->MinTime(0.2);
 BENCHMARK(BM_Nbody_JitSpecialized)
     ->Unit(benchmark::kMillisecond)
     ->MinTime(0.2);
 BENCHMARK(BM_Nbody_Native)->Unit(benchmark::kMillisecond)->MinTime(0.2);
 
 int main(int argc, char** argv) {
-  // Keep stdout machine-readable under --benchmark_format=json (the
-  // archived BENCH_jit_spec.json is parsed by CI).
+  // Keep stdout machine-readable under --benchmark_format=json (CI
+  // parses the archived JSON).
   bool json = false;
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]).find("json") != std::string::npos) json = true;
   }
   if (!json) {
-    bench::banner("J1 (two-tier JIT)",
-                  "Specialized vs call-threaded JIT on the SVI heat and "
-                  "n-body inner loops (items = inner-loop iterations).");
+    bench::banner("J1 (specialized JIT regions)",
+                  "JIT vs VM vs native on the SVI heat and n-body inner "
+                  "loops (items = inner-loop iterations).");
   }
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

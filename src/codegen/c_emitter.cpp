@@ -290,6 +290,7 @@ class Emitter {
       line("lol_globals* G = (lol_globals*)lolrt_user(pe); (void)G;");
       line("lolv lol_it = lolrt_noob(); (void)lol_it;");
       line("long long _bff0 = lolrt_bff_depth(pe); (void)_bff0;");
+      line("lolrt_call_enter(pe);");
       Scope fn_scope;
       for (const auto& p : f.params) {
         VarInfo info;
@@ -305,6 +306,7 @@ class Emitter {
       txt_depth_ = saved_txt;
       in_function_ = false;
       scope_ = nullptr;
+      line("lolrt_call_leave(pe);");
       line("return lol_it;");
       close_block();
       raw("\n");
@@ -990,7 +992,10 @@ class Emitter {
         CT ct;
         std::string atom = emit_expr(*f.value, ct);
         line("lolrt_bff_reset(pe, _bff0);");
-        line("return " + box(atom, ct) + ";");
+        // The value first: it may hold a recursive call, which must see
+        // this frame still counted.
+        line("{ lolv _ret = " + box(atom, ct) +
+             "; lolrt_call_leave(pe); return _ret; }");
         return;
       }
       case ast::StmtKind::kFuncDef:
@@ -1374,6 +1379,7 @@ class Emitter {
     }
     if (in_function_) {
       line("lolrt_bff_reset(pe, _bff0);");
+      line("lolrt_call_leave(pe);");
       line("return lolrt_noob();");
       return;
     }

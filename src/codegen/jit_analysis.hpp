@@ -1,12 +1,12 @@
-// Abstract interpretation over VM bytecode for the JIT's specialized tier.
+// Abstract interpretation over VM bytecode for the JIT's specialized
+// regions.
 //
-// The call-threaded tier (jit_emitter.cpp) already removes dispatch; what
-// it still pays on every op is a helper call plus boxed rt::Value stack
-// traffic. This pass finds *regions* — maximal contiguous pc ranges whose
-// ops it can prove operate on NUMBR/NUMBAR/TROOF payloads — and plans
+// The VM pays dispatch plus boxed rt::Value stack traffic on every op.
+// This pass finds *regions* — maximal contiguous pc ranges whose ops it
+// can prove operate on NUMBR/NUMBAR/TROOF payloads — and plans
 // machine-register homes for the virtual value stack and the hot scalar
-// locals, so the emitter can lower those ops to raw x86-64 with no Value
-// boxing and no helper call.
+// locals, so the emitter (jit_emitter.hpp) can lower those ops to raw
+// x86-64 with no Value boxing and no helper call.
 //
 // The lattice tracks, per program point inside a candidate region:
 //   - the virtual stack: relative depth and a SpecType per entry,
@@ -14,18 +14,18 @@
 //     whether the region owns a dirtied copy,
 // seeded at region entry by *guards*: runtime checks on the real cells
 // (right shape, right payload type, still unbound for in-region declares)
-// whose failure deopts to the generic call-threaded translation of the
-// same pcs. DeclMeta::hint — populated by the bytecode compiler from
-// declaration sites, and sharpened by the opt pipeline's fold/prop turning
-// computed initializers into literals — tells the pass what to guard for
-// locals that are read before any in-region write.
+// whose failure deopts — the VM runs the same pcs instead. DeclMeta::hint
+// — populated by the bytecode compiler from declaration sites, and
+// sharpened by the opt pipeline's fold/prop turning computed initializers
+// into literals — tells the pass what to guard for locals that are read
+// before any in-region write.
 //
 // Ops the lattice cannot prove end the region; every region exit carries a
 // materialization plan (push still-live virtual stack entries back onto
-// the real VM stack, write dirty locals back to their cells) so the
-// generic tier resumes on exactly the state the VM would have had. Step
-// accounting is planned as per-basic-block batches whose exactness
-// contract lives in jit_emitter.cpp.
+// the real VM stack, write dirty locals back to their cells) so the VM
+// resumes on exactly the state it would have had. Step accounting is
+// planned as per-basic-block batches whose exactness contract lives in
+// jit_emitter.cpp.
 //
 // Pure analysis, no code emission: tests pin guard placement, region
 // extents and spill plans against this API directly.
@@ -117,9 +117,9 @@ inline constexpr std::int32_t kSpecBinOpMask = 0xFF;
 inline constexpr std::int32_t kSpecBinPromoteLhs = 0x100;
 inline constexpr std::int32_t kSpecBinPromoteRhs = 0x200;
 
-/// Exit-edge plan: how to hand a live region state back to the generic
-/// tier. `vstack` lists the virtual entries to materialize onto the real
-/// VM stack (bottom first — the issue's "spill at materialization point");
+/// Exit-edge plan: how to hand a live region state back to the VM.
+/// `vstack` lists the virtual entries to materialize onto the real VM
+/// stack (bottom first: spill at the materialization point);
 /// `writebacks` restore every dirtied local/IT/bound-state.
 struct SpecWriteback {
   enum class Kind : std::uint8_t { kStore, kDeclare, kUnbind, kIt };
@@ -132,7 +132,7 @@ struct SpecWriteback {
 
 struct SpecExit {
   std::size_t at_pc = 0;   // op owning the edge; == hi for the fallthrough
-  std::size_t target = 0;  // generic pc to resume at
+  std::size_t target = 0;  // pc the VM resumes at
   std::vector<SpecType> vstack;
   std::vector<SpecWriteback> writebacks;
 };

@@ -4,10 +4,12 @@
 #include <cstddef>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 #include "codegen/jit_emitter.hpp"
 #include "codegen/single_flight.hpp"
 #include "obs/metrics.hpp"
+#include "rt/exec_context.hpp"
 #include "vm/vm.hpp"
 
 namespace lol::codegen {
@@ -47,8 +49,8 @@ struct JitMetrics {
             "Bytecode ops retired by the type-specialized JIT tier")),
         deopts(obs::Registry::global().counter(
             "lol_jit_deopts_total",
-            "Specialized-region guard failures (fell back to the generic "
-            "call-threaded tier)")) {}
+            "Specialized-region guard failures (the VM ran the region's "
+            "first instruction instead)")) {}
 };
 
 JitMetrics& jit_metrics() {
@@ -71,14 +73,6 @@ bool jit_available() {
 #endif
 }
 
-bool jit_spec_enabled() {
-  static const bool on = [] {
-    const char* env = std::getenv("LOL_JIT_SPEC");
-    return !(env != nullptr && env[0] == '0' && env[1] == '\0');
-  }();
-  return on;
-}
-
 namespace {
 
 bool jit_dump_enabled() {
@@ -89,8 +83,7 @@ bool jit_dump_enabled() {
 }  // namespace
 
 std::shared_ptr<const JitProgram> JitProgram::get_or_build(
-    std::shared_ptr<const vm::Chunk> chunk, std::string* error,
-    std::optional<bool> specialize) {
+    std::shared_ptr<const vm::Chunk> chunk, std::string* error) {
   if (!jit_available()) {
     if (error != nullptr) {
       *error = "JIT backend unavailable on this host (needs x86-64, mmap "
@@ -98,29 +91,26 @@ std::shared_ptr<const JitProgram> JitProgram::get_or_build(
     }
     return nullptr;
   }
-  JitEmitOptions opts;
-  opts.specialize = specialize.value_or(jit_spec_enabled());
-  std::string key = chunk_cache_key(*chunk);
-  key.push_back(opts.specialize ? 1 : 0);
   JitBuild built = jit_cache().get_or_build(
-      key,
+      chunk_cache_key(*chunk),
       [&]() -> JitBuild {
         JitBuild b;
         const auto t0 = std::chrono::steady_clock::now();
         std::string dump;
-        if (jit_dump_enabled()) opts.dump = &dump;
-        std::vector<std::uint8_t> code;
-        JitEmitInfo info;
-        if (!emit_chunk_x86_64(*chunk, opts, &code, &b.error, &info)) {
-          return b;
-        }
         auto prog = std::shared_ptr<JitProgram>(new JitProgram());
-        prog->chunk_ = chunk;
-        prog->info_ = info;
+        std::vector<std::uint8_t> code = emit_chunk_x86_64(
+            *chunk, &prog->info_, jit_dump_enabled() ? &dump : nullptr);
         if (!prog->mem_.map_and_seal(code.data(), code.size(), &b.error)) {
           return b;
         }
-        if (opts.dump != nullptr) {
+        prog->patched_ = *chunk;
+        for (const JitRegionEntry& e : prog->info_.entries) {
+          vm::Instr& at = prog->patched_.code[e.lo];
+          const auto index = static_cast<std::int32_t>(prog->displaced_.size());
+          prog->displaced_.push_back(at);
+          at = vm::Instr{vm::Op::kRegion, index, 0, 0};
+        }
+        if (!dump.empty()) {
           std::fprintf(stderr, "%s", dump.c_str());
           std::fflush(stderr);
         }
@@ -139,36 +129,56 @@ std::shared_ptr<const JitProgram> JitProgram::get_or_build(
   return built.prog;
 }
 
-namespace {
+/// One PE's region host: the r13 block emitted code addresses (header
+/// plus the spill bank, contiguous so bank displacements are
+/// env-relative constants) and the program whose regions it enters.
+class PeRegions final : public vm::RegionHost {
+ public:
+  PeRegions(const JitProgram& prog, rt::ExecContext& ctx) : prog_(prog) {
+    frame_.env.ctx = &ctx;
+    frame_.env.me = ctx.pe->id();
+    frame_.env.n_pes = ctx.pe->n_pes();
+  }
+  PeRegions(const PeRegions&) = delete;
+  PeRegions& operator=(const PeRegions&) = delete;
 
-/// The r13 block emitted code addresses: header plus the spill bank,
-/// contiguous so bank displacements are env-relative constants.
-struct SpecFrame {
-  JitSpecEnv env;
-  std::uint64_t bank[kJitSpecMaxBank] = {};
+  /// Flushes this PE's coverage counters, on error paths too.
+  ~PeRegions() {
+    const JitSpecEnv& env = frame_.env;
+    if (env.spec_ops != 0) jit_metrics().spec_ops.inc(env.spec_ops);
+    if (env.deopts != 0) jit_metrics().deopts.inc(env.deopts);
+  }
+
+  std::int64_t enter(vm::Vm& vm, std::int32_t index) override {
+    const auto* base = static_cast<const std::uint8_t*>(prog_.mem_.base());
+    auto entry = reinterpret_cast<JitEntryFn>(const_cast<std::uint8_t*>(base));
+    const std::size_t offset =
+        prog_.info_.entries[static_cast<std::size_t>(index)].offset;
+    const std::int64_t next = entry(&vm, &frame_.env, base + offset);
+    if (next == kJitThrew) {
+      std::rethrow_exception(std::exchange(detail::jit_pending(), nullptr));
+    }
+    return next;
+  }
+
+  [[nodiscard]] const vm::Instr& displaced(std::int32_t index) const override {
+    return prog_.displaced_[static_cast<std::size_t>(index)];
+  }
+
+ private:
+  struct Frame {
+    JitSpecEnv env;
+    std::uint64_t bank[kJitSpecMaxBank] = {};
+  };
+  static_assert(offsetof(Frame, bank) == kJitEnvBankOffset);
+
+  const JitProgram& prog_;
+  Frame frame_;
 };
-static_assert(offsetof(SpecFrame, bank) == kJitEnvBankOffset);
-
-}  // namespace
 
 void JitProgram::run_pe(rt::ExecContext& ctx) const {
-  vm::Vm vm(*chunk_, ctx);
-  vm.reset_for_run();
-  detail::jit_pending() = nullptr;
-  SpecFrame frame;
-  frame.env.ctx = &ctx;
-  frame.env.me = ctx.pe->id();
-  frame.env.n_pes = ctx.pe->n_pes();
-  auto entry =
-      reinterpret_cast<JitEntryFn>(const_cast<void*>(mem_.base()));
-  entry(&vm, &frame.env);
-  if (frame.env.spec_ops != 0) jit_metrics().spec_ops.inc(frame.env.spec_ops);
-  if (frame.env.deopts != 0) jit_metrics().deopts.inc(frame.env.deopts);
-  if (detail::jit_pending() != nullptr) {
-    std::exception_ptr e = detail::jit_pending();
-    detail::jit_pending() = nullptr;
-    std::rethrow_exception(e);
-  }
+  PeRegions regions(*this, ctx);
+  vm::Vm(patched_, ctx, &regions).run();
 }
 
 }  // namespace lol::codegen

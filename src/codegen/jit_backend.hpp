@@ -1,24 +1,26 @@
-// Direct x86-64 execution of VM bytecode (Backend::kJit).
+// Backend::kJit: the bytecode VM with its hot loops in machine code.
 //
-// Where Backend::kNative forks the host C toolchain per cold program
-// (~100ms, an external dependency), the JIT lowers the already-compiled
-// bytecode chunk to machine code in-process — a cold compile is the
-// emitter plus one mmap/mprotect, microseconds instead of a fork/exec.
-// Semantics are the VM's own op_* bodies called from emitted code, so
-// step budgets, deadlines, abort, replay scheduling and fault injection
-// carry over unchanged and output stays byte-identical to the other
-// backends by construction.
+// A JitProgram is the VM's chunk plus x86-64 for the chunk's
+// type-specialized regions (jit_emitter.hpp), emitted in-process into
+// W^X pages — a cold compile is the analysis, the emitter and one
+// mmap/mprotect, with no host toolchain. The program keeps a copy of the
+// chunk in which each region's first instruction is Op::kRegion, and runs
+// every PE on the ordinary vm::Vm over that copy: the dispatch loop
+// enters a region's code when it reaches it and resumes at whatever pc
+// the region exits or deopts to. Everything outside the regions is the
+// VM's own code, so output, step budgets, deadlines, abort, replay
+// scheduling and fault injection match the VM by construction.
 //
 // Availability: x86-64 + POSIX mmap, a kernel that allows the W^X
-// RW->RX flip, and LOL_JIT != 0. When unavailable the engine silently
-// falls back to the cc+dlopen native backend (the portability tier).
+// RW->RX flip, and LOL_JIT != 0. When unavailable the engine runs the
+// plain VM instead.
 #pragma once
 
 #include <cstddef>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
+#include <vector>
 
 #include "codegen/jit_emitter.hpp"
 #include "codegen/jit_memory.hpp"
@@ -33,33 +35,23 @@ namespace lol::codegen {
 /// True when Backend::kJit can execute here. Memoized after first call.
 bool jit_available();
 
-/// True when the type-specialized tier is enabled (LOL_JIT_SPEC != 0).
-/// Memoized after first call; part of the code-cache key so flipping it
-/// between runs of one process rebuilds rather than mixing tiers.
-bool jit_spec_enabled();
-
-/// One program's emitted machine code plus the chunk it interprets.
-/// Immutable and shareable across concurrent runs — all mutable state
-/// lives in the per-PE Vm handed to run_pe.
+/// One program's emitted machine code plus the patched chunk the VM runs
+/// it from. Immutable and shareable across concurrent runs — all mutable
+/// state lives in the per-PE Vm and region environment built by run_pe.
 class JitProgram {
  public:
   JitProgram(const JitProgram&) = delete;
   JitProgram& operator=(const JitProgram&) = delete;
 
   /// Emits (or fetches from the process-wide single-flight cache) the
-  /// machine code for `chunk`. Keyed by the chunk's serialized bytes
-  /// plus the specialization flag, so N concurrent cold misses on one
-  /// program emit exactly once and both tiers can coexist. `specialize`
-  /// overrides jit_spec_enabled() when set (RunConfig::jit_spec).
-  /// Returns null and fills `error` when the JIT is unavailable or
-  /// emission fails.
+  /// machine code for `chunk`. Keyed by the chunk's serialized bytes, so
+  /// N concurrent cold misses on one program emit exactly once. Returns
+  /// null and fills `error` when the JIT is unavailable or mapping the
+  /// code fails.
   static std::shared_ptr<const JitProgram> get_or_build(
-      std::shared_ptr<const vm::Chunk> chunk, std::string* error,
-      std::optional<bool> specialize = std::nullopt);
+      std::shared_ptr<const vm::Chunk> chunk, std::string* error);
 
-  /// Runs one PE: resets a Vm over the chunk, enters the emitted code,
-  /// and rethrows any exception a helper parked (StepLimitError,
-  /// RuntimeError, PeKilledError, abort).
+  /// Runs one PE on the VM with this program's regions installed.
   void run_pe(rt::ExecContext& ctx) const;
 
   /// Bytes of sealed executable code (compile-cache accounting).
@@ -70,8 +62,10 @@ class JitProgram {
 
  private:
   JitProgram() = default;
+  friend class PeRegions;
 
-  std::shared_ptr<const vm::Chunk> chunk_;
+  vm::Chunk patched_;               // the chunk with Op::kRegion installed
+  std::vector<vm::Instr> displaced_;  // what each kRegion replaced
   ExecMem mem_;
   JitEmitInfo info_;
 };

@@ -3,10 +3,10 @@
 #include <cstddef>
 #include <cstdio>
 #include <cstring>
-#include <map>
 
 #include "codegen/jit_analysis.hpp"
 #include "rt/exec_context.hpp"
+#include "vm/vm.hpp"
 
 namespace lol::codegen {
 
@@ -41,52 +41,44 @@ struct CodeBuf {
   }
 };
 
-/// A rel32 whose target is only known after layout: the byte offset of a
-/// bytecode block, the epilogue, a function-call stub, a specialized
-/// region's entry, or the generic translation past a region's redirect
-/// jump (kBlockPlus5 — the deopt resume point).
-struct Fixup {
-  enum class Kind { kBlock, kEpilogue, kStub, kSpecEntry, kBlockPlus5 };
-  std::size_t at;  // offset of the rel32 immediate
-  Kind kind;
-  std::size_t target = 0;  // pc (kBlock/kBlockPlus5), function index
-                           // (kStub) or region index (kSpecEntry)
-};
-
-/// Abstract operand type for the inline-arithmetic analysis: what the
-/// emitter can predict about a stack slot at emit time. Predictions are
-/// only heuristics — the typed prep re-checks the real operand types at
-/// run time and falls back to the generic helper on mismatch — so the
-/// analysis can never make the program wrong, only a fast path cold.
-enum class Tag : std::uint8_t { kOther, kInt, kDbl };
-
 class Emitter {
  public:
-  Emitter(const vm::Chunk& chunk, const JitEmitOptions& opts)
-      : chunk_(chunk), opts_(opts) {}
+  explicit Emitter(const vm::Chunk& chunk) : chunk_(chunk) {}
 
-  bool emit(std::vector<std::uint8_t>* out, std::string* error,
-            JitEmitInfo* info) {
-    const JitHelperFn* table = jit_helper_table();
-    build_type_facts();
-    if (opts_.specialize) {
-      plan_ = analyze_chunk(chunk_);
-      // Defensive: the analysis caps its bank well under the env
-      // allocation, but never emit displacements past it.
-      std::erase_if(plan_.regions, [](const RegionPlan& r) {
-        return r.bank_slots > static_cast<std::int32_t>(kJitSpecMaxBank);
-      });
-      for (std::size_t ri = 0; ri < plan_.regions.size(); ++ri) {
-        region_at_[plan_.regions[ri].lo] = ri;
-      }
-      spec_entry_off_.assign(plan_.regions.size(), 0);
+  std::vector<std::uint8_t> emit(JitEmitInfo* info, std::string* dump) {
+    plan_ = analyze_chunk(chunk_);
+    // Defensive: the analysis caps its bank well under the env
+    // allocation, but never emit displacements past it.
+    std::erase_if(plan_.regions, [](const RegionPlan& r) {
+      return r.bank_slots > static_cast<std::int32_t>(kJitSpecMaxBank);
+    });
+
+    emit_frame();
+    emit_thunk();
+    info->bank_slots = plan_.bank_slots;
+    info->regions = plan_.regions.size();
+    region_code_.assign(plan_.regions.size(), {0, 0});
+    for (std::size_t ri = 0; ri < plan_.regions.size(); ++ri) {
+      const RegionPlan& r = plan_.regions[ri];
+      region_code_[ri].first = buf_.size();
+      info->entries.push_back({r.lo, emit_region(r)});
+      region_code_[ri].second = buf_.size();
+      info->spec_pcs += r.hi - r.lo;
     }
+    if (dump != nullptr) append_dump(*dump);
+    return std::move(buf_.b);
+  }
 
-    // Prologue: save callee-saved regs, align rsp to 16 (entry has
-    // rsp % 16 == 8 from the caller's call; six pushes keep it at 8),
-    // park Vm* in rbx, the JitSpecEnv* in r13 and the aligned rsp in
-    // r12 for the unwind path. Specialized fuel (r14) starts at zero so
-    // the first segment check re-derives a budget.
+ private:
+  /// The frame every region runs in. Entry (offset 0, JitEntryFn): save
+  /// the callee-saved registers, align rsp to 16 (entry has rsp % 16 ==
+  /// 8 from the caller's call; six pushes keep it at 8), park Vm* in
+  /// rbx, the JitSpecEnv* in r13 and the aligned rsp in r12, and jump to
+  /// the region code passed in rdx. Bail sets the kJitThrew result and
+  /// falls into the epilogue, which restores the prologue rsp —
+  /// discarding the destructor-free thunk frame a failed helper may have
+  /// left — and the callee-saved registers.
+  void emit_frame() {
     buf_.u8(0x53);                            // push rbx
     buf_.u8(0x41); buf_.u8(0x54);             // push r12
     buf_.u8(0x41); buf_.u8(0x55);             // push r13
@@ -97,101 +89,10 @@ class Emitter {
     buf_.u8(0x48); buf_.u8(0x89); buf_.u8(0xFB);                 // mov rbx,rdi
     buf_.u8(0x49); buf_.u8(0x89); buf_.u8(0xF5);                 // mov r13,rsi
     buf_.u8(0x49); buf_.u8(0x89); buf_.u8(0xE4);                 // mov r12,rsp
-    buf_.u8(0x45); buf_.u8(0x31); buf_.u8(0xF6);                 // xor r14d,r14d
+    buf_.u8(0xFF); buf_.u8(0xE2);                                // jmp rdx
 
-    block_off_.resize(chunk_.code.size());
-    for (std::size_t pc = 0; pc < chunk_.code.size(); ++pc) {
-      block_off_[pc] = buf_.size();
-      // A specialized region starts here: the generic block leads with
-      // a 5-byte jump into the region's guarded entry, so every path
-      // that lands on this pc — fallthrough, loop back-edge, exit-stub
-      // resume — re-attempts specialization. Deopt resumes at +5.
-      if (auto it = region_at_.find(pc); it != region_at_.end()) {
-        buf_.u8(0xE9);  // jmp rel32 -> spec entry
-        fixups_.push_back({buf_.size(), Fixup::Kind::kSpecEntry,
-                           it->second});
-        buf_.u32(0);
-      }
-      // Control flow can land here from elsewhere with an unknown
-      // stack shape: forget everything the straight line proved.
-      if (pc < jump_target_.size() && jump_target_[pc]) astack_.clear();
-      const vm::Instr& in = chunk_.code[pc];
-      auto helper = table[static_cast<std::size_t>(in.op)];
-      switch (in.op) {
-        case Op::kJump:
-          // Helper charges the step; then a real machine jump.
-          call_helper(helper, in);
-          jmp_to_block(static_cast<std::size_t>(in.a));
-          astack_.clear();
-          break;
-        case Op::kJumpIfFalse:
-          // Helper pops the condition and returns 1 when the branch is
-          // taken (status already sign-checked by call_helper).
-          call_helper(helper, in);
-          buf_.u8(0x0F); buf_.u8(0x85);  // jnz rel32
-          fixups_.push_back({buf_.size(), Fixup::Kind::kBlock,
-                             static_cast<std::size_t>(in.a)});
-          buf_.u32(0);
-          astack_.clear();
-          break;
-        case Op::kCall:
-          // Helper builds the callee frame (args popped, depth checked);
-          // then a machine call into the function's stub keeps LOLCODE
-          // recursion on the machine stack.
-          call_helper(helper, in);
-          buf_.u8(0xE8);  // call rel32
-          fixups_.push_back({buf_.size(), Fixup::Kind::kStub,
-                             static_cast<std::size_t>(in.a)});
-          buf_.u32(0);
-          astack_.clear();
-          break;
-        case Op::kReturn:
-          // Helper pops the frame and pushes the return value; undo the
-          // stub's alignment adjustment and return to the machine caller.
-          call_helper(helper, in);
-          buf_.u8(0x48); buf_.u8(0x83); buf_.u8(0xC4); buf_.u8(0x08);
-          buf_.u8(0xC3);  // add rsp,8; ret
-          astack_.clear();
-          break;
-        case Op::kHalt:
-          call_helper(helper, in);
-          buf_.u8(0xE9);  // jmp rel32 -> epilogue
-          fixups_.push_back({buf_.size(), Fixup::Kind::kEpilogue, 0});
-          buf_.u32(0);
-          astack_.clear();
-          break;
-        case Op::kBinary: {
-          // Typed inline fast path where the analysis predicts both
-          // operands: skip the helper call and the full Value/variant
-          // machinery for the hot arithmetic the paper's kernels are
-          // made of. Misprediction is handled at run time by the prep's
-          // type re-check, which diverts to the generic helper.
-          Tag cls = binary_fast_class(in);
-          if (cls == Tag::kInt || cls == Tag::kDbl) {
-            emit_binfast(helper, in, cls);
-          } else {
-            call_helper(helper, in);
-          }
-          if (astack_.size() >= 2) {
-            astack_.pop_back();
-            astack_.pop_back();
-            astack_.push_back(cls);
-          } else {
-            astack_.clear();
-          }
-          break;
-        }
-        default:
-          // Straight-line op: helper does step + semantics, fall through.
-          call_helper(helper, in);
-          track(in);
-          break;
-      }
-    }
-
-    // Epilogue (normal exit and the helper-threw unwind path): restore
-    // the prologue rsp — discarding any nested, destructor-free JIT
-    // frames — and the callee-saved registers.
+    bail_off_ = buf_.size();
+    mov_rax_imm32(kJitThrew);
     epilogue_off_ = buf_.size();
     buf_.u8(0x4C); buf_.u8(0x89); buf_.u8(0xE4);                 // mov rsp,r12
     buf_.u8(0x48); buf_.u8(0x83); buf_.u8(0xC4); buf_.u8(0x08);  // add rsp,8
@@ -202,299 +103,15 @@ class Emitter {
     buf_.u8(0x41); buf_.u8(0x5C);                                // pop r12
     buf_.u8(0x5B);                                               // pop rbx
     buf_.u8(0xC3);                                               // ret
-
-    // Per-function call stubs. Separate from the body so backward jumps
-    // to a function's entry pc (loops starting at entry) don't re-run the
-    // stack adjustment.
-    stub_off_.resize(chunk_.funcs.size());
-    for (std::size_t f = 0; f < chunk_.funcs.size(); ++f) {
-      stub_off_[f] = buf_.size();
-      buf_.u8(0x48); buf_.u8(0x83); buf_.u8(0xEC); buf_.u8(0x08);  // sub rsp,8
-      jmp_to_block(static_cast<std::size_t>(chunk_.funcs[f].entry));
-    }
-
-    // Specialized tier: the shared slow-path thunk, then every region's
-    // entry + body + exit stubs.
-    region_code_.assign(plan_.regions.size(), {0, 0});
-    if (!plan_.regions.empty()) {
-      emit_thunk();
-      for (std::size_t ri = 0; ri < plan_.regions.size(); ++ri) {
-        region_code_[ri].first = buf_.size();
-        emit_region(plan_.regions[ri], ri);
-        region_code_[ri].second = buf_.size();
-      }
-    }
-
-    for (const Fixup& fx : fixups_) {
-      std::size_t target = 0;
-      switch (fx.kind) {
-        case Fixup::Kind::kBlock:
-        case Fixup::Kind::kBlockPlus5:
-          if (fx.target >= block_off_.size()) {
-            if (error != nullptr) *error = "JIT: jump target out of range";
-            return false;
-          }
-          target = block_off_[fx.target];
-          if (fx.kind == Fixup::Kind::kBlockPlus5) target += 5;
-          break;
-        case Fixup::Kind::kEpilogue:
-          target = epilogue_off_;
-          break;
-        case Fixup::Kind::kStub:
-          target = stub_off_[fx.target];
-          break;
-        case Fixup::Kind::kSpecEntry:
-          target = spec_entry_off_[fx.target];
-          break;
-      }
-      // rel32 is relative to the end of the 4-byte immediate.
-      std::int64_t rel = static_cast<std::int64_t>(target) -
-                         static_cast<std::int64_t>(fx.at + 4);
-      buf_.patch32(fx.at, static_cast<std::uint32_t>(rel));
-    }
-
-    if (info != nullptr) {
-      info->bank_slots = plan_.bank_slots;
-      info->regions = plan_.regions.size();
-      for (const RegionPlan& r : plan_.regions) {
-        info->spec_pcs += r.hi - r.lo;
-      }
-    }
-    if (opts_.dump != nullptr) append_dump();
-
-    *out = std::move(buf_.b);
-    return true;
   }
 
- private:
-  /// Collects the static facts the operand-type analysis predicts from:
-  /// which pcs control flow can jump to (the abstract stack dies there)
-  /// and which frame slots hold typed scalars (declared NUMBR/NUMBAR,
-  /// SRSLY or symmetric). Main and function frames share slot numbers;
-  /// a slot declared with different types anywhere degrades to kOther —
-  /// cheap, and still only a prediction.
-  void build_type_facts() {
-    jump_target_.assign(chunk_.code.size(), false);
-    for (const vm::Instr& in : chunk_.code) {
-      if (in.op == Op::kJump || in.op == Op::kJumpIfFalse) {
-        auto t = static_cast<std::size_t>(in.a);
-        if (t < jump_target_.size()) jump_target_[t] = true;
-      }
-    }
-    for (const vm::FuncMeta& f : chunk_.funcs) {
-      if (f.entry < jump_target_.size()) jump_target_[f.entry] = true;
-    }
-
-    for (const vm::DeclMeta& d : chunk_.decls) {
-      if (d.slot < 0) continue;
-      Tag t = Tag::kOther;
-      if (!d.is_array) {
-        std::optional<ast::TypeKind> ty =
-            d.symmetric ? std::optional<ast::TypeKind>(d.elem)
-                        : d.static_type;
-        if (ty == ast::TypeKind::kNumbr) {
-          t = Tag::kInt;
-        } else if (ty == ast::TypeKind::kNumbar) {
-          t = Tag::kDbl;
-        }
-      }
-      auto slot = static_cast<std::size_t>(d.slot);
-      if (slot >= slot_tag_.size()) {
-        slot_tag_.resize(slot + 1, Tag::kOther);
-        slot_seen_.resize(slot + 1, false);
-      }
-      if (!slot_seen_[slot]) {
-        slot_seen_[slot] = true;
-        slot_tag_[slot] = t;
-      } else if (slot_tag_[slot] != t) {
-        slot_tag_[slot] = Tag::kOther;
-      }
-    }
+  /// Returns `result` to the dispatch loop: a resume pc, or kDeopt.
+  void ret_to_vm(std::int64_t result) {
+    mov_rax_imm32(result);
+    jmp_to(epilogue_off_);
   }
 
-  /// Abstract-stack transfer for the straight-line ops the analysis
-  /// models. Anything else has a stack effect we don't track (kDeclare
-  /// pops per decl flags, kNary pops a count, ...): drop to unknown.
-  void track(const vm::Instr& in) {
-    switch (in.op) {
-      case Op::kConst: {
-        const rt::Value& v = chunk_.consts[static_cast<std::size_t>(in.a)];
-        astack_.push_back(v.is_numbr()    ? Tag::kInt
-                          : v.is_numbar() ? Tag::kDbl
-                                          : Tag::kOther);
-        break;
-      }
-      case Op::kLoadVar: {
-        Tag t = Tag::kOther;
-        if (in.b == 0) {
-          auto slot = static_cast<std::size_t>(in.a);
-          if (slot < slot_tag_.size() && slot_seen_[slot]) {
-            t = slot_tag_[slot];
-          }
-        }
-        astack_.push_back(t);
-        break;
-      }
-      case Op::kMe:
-      case Op::kMahFrenz:
-      case Op::kWhatevr:
-        astack_.push_back(Tag::kInt);
-        break;
-      case Op::kWhatevar:
-        astack_.push_back(Tag::kDbl);
-        break;
-      case Op::kLoadIt:
-      case Op::kGimmeh:
-        astack_.push_back(Tag::kOther);
-        break;
-      case Op::kPop:
-      case Op::kStoreIt:
-        if (!astack_.empty()) astack_.pop_back();
-        break;
-      default:
-        astack_.clear();
-        break;
-    }
-  }
-
-  /// Whether this kBinary gets the inline path, and which one: both
-  /// operands predicted NUMBR and the op is total on NUMBRs (no
-  /// division/modulo — those throw on zero and stay generic), or both
-  /// predicted NUMBAR for the closed float ops.
-  [[nodiscard]] Tag binary_fast_class(const vm::Instr& in) const {
-    if (astack_.size() < 2) return Tag::kOther;
-    Tag rhs = astack_[astack_.size() - 1];
-    Tag lhs = astack_[astack_.size() - 2];
-    if (lhs != rhs) return Tag::kOther;
-    auto op = static_cast<ast::BinOp>(in.a);
-    if (lhs == Tag::kInt) {
-      switch (op) {
-        case ast::BinOp::kSum:
-        case ast::BinOp::kDiff:
-        case ast::BinOp::kProdukt:
-        case ast::BinOp::kBiggr:
-        case ast::BinOp::kSmallr:
-          return Tag::kInt;
-        default:
-          return Tag::kOther;
-      }
-    }
-    if (lhs == Tag::kDbl) {
-      switch (op) {
-        case ast::BinOp::kSum:
-        case ast::BinOp::kDiff:
-        case ast::BinOp::kProdukt:
-          return Tag::kDbl;
-        default:
-          return Tag::kOther;
-      }
-    }
-    return Tag::kOther;
-  }
-
-  /// Inline arithmetic block:
-  ///
-  ///   mov  rdi, rbx
-  ///   movabs rax, <typed prep>
-  ///   call rax                ; BinFastI in rax:rdx / BinFastD rax+xmm0
-  ///   cmp  rax, 1
-  ///   jb   fallback           ; lhs == 0: operands not both typed
-  ///   cmp  rax, -1
-  ///   je   epilogue           ; prep threw (step budget, abort)
-  ///   <op on [rax] and rdx/xmm0>
-  ///   jmp  done
-  /// fallback:
-  ///   <generic kBinary helper sequence>   ; charges its own step
-  /// done:
-  ///
-  /// The prep already charged the step and popped the right operand, so
-  /// the in-place update IS the whole op — result lands where kBinary
-  /// would have pushed it.
-  void emit_binfast(JitHelperFn generic, const vm::Instr& in, Tag cls) {
-    buf_.u8(0x48); buf_.u8(0x89); buf_.u8(0xDF);  // mov rdi,rbx
-    buf_.u8(0x48); buf_.u8(0xB8);                 // movabs rax, prep
-    buf_.u64(cls == Tag::kInt ? jit_binfast_numbr_addr()
-                              : jit_binfast_numbar_addr());
-    buf_.u8(0xFF); buf_.u8(0xD0);                 // call rax
-    buf_.u8(0x48); buf_.u8(0x83); buf_.u8(0xF8); buf_.u8(0x01);  // cmp rax,1
-    buf_.u8(0x72);                                // jb rel8 -> fallback
-    std::size_t jb_at = buf_.size();
-    buf_.u8(0);
-    buf_.u8(0x48); buf_.u8(0x83); buf_.u8(0xF8); buf_.u8(0xFF);  // cmp rax,-1
-    buf_.u8(0x0F); buf_.u8(0x84);                 // je rel32 -> epilogue
-    fixups_.push_back({buf_.size(), Fixup::Kind::kEpilogue, 0});
-    buf_.u32(0);
-
-    auto op = static_cast<ast::BinOp>(in.a);
-    if (cls == Tag::kInt) {
-      switch (op) {
-        case ast::BinOp::kSum:
-          buf_.u8(0x48); buf_.u8(0x01); buf_.u8(0x10);  // add [rax],rdx
-          break;
-        case ast::BinOp::kDiff:
-          buf_.u8(0x48); buf_.u8(0x29); buf_.u8(0x10);  // sub [rax],rdx
-          break;
-        case ast::BinOp::kProdukt:
-          buf_.u8(0x48); buf_.u8(0x8B); buf_.u8(0x08);  // mov rcx,[rax]
-          buf_.u8(0x48); buf_.u8(0x0F); buf_.u8(0xAF); buf_.u8(0xCA);
-          buf_.u8(0x48); buf_.u8(0x89); buf_.u8(0x08);  // imul; mov [rax],rcx
-          break;
-        case ast::BinOp::kBiggr:
-        case ast::BinOp::kSmallr:
-          buf_.u8(0x48); buf_.u8(0x8B); buf_.u8(0x08);  // mov rcx,[rax]
-          buf_.u8(0x48); buf_.u8(0x39); buf_.u8(0xD1);  // cmp rcx,rdx
-          buf_.u8(0x48); buf_.u8(0x0F);                 // cmovl/cmovg rcx,rdx
-          buf_.u8(op == ast::BinOp::kBiggr ? 0x4C : 0x4F);
-          buf_.u8(0xCA);
-          buf_.u8(0x48); buf_.u8(0x89); buf_.u8(0x08);  // mov [rax],rcx
-          break;
-        default:
-          break;  // unreachable: binary_fast_class filtered
-      }
-    } else {
-      buf_.u8(0xF2); buf_.u8(0x0F); buf_.u8(0x10); buf_.u8(0x08);
-      buf_.u8(0xF2); buf_.u8(0x0F);  // movsd xmm1,[rax]; <op>sd xmm1,xmm0
-      buf_.u8(op == ast::BinOp::kSum    ? 0x58
-              : op == ast::BinOp::kDiff ? 0x5C
-                                        : 0x59);
-      buf_.u8(0xC8);
-      buf_.u8(0xF2); buf_.u8(0x0F); buf_.u8(0x11); buf_.u8(0x08);
-    }                                             // movsd [rax],xmm1
-
-    buf_.u8(0xEB);                                // jmp rel8 -> done
-    std::size_t done_at = buf_.size();
-    buf_.u8(0);
-
-    std::size_t fallback = buf_.size();
-    buf_.b[jb_at] = static_cast<std::uint8_t>(fallback - (jb_at + 1));
-    call_helper(generic, in);
-    std::size_t done = buf_.size();
-    buf_.b[done_at] = static_cast<std::uint8_t>(done - (done_at + 1));
-  }
-
-  /// The per-instruction core: call helper(vm, a, b, c) and bail to the
-  /// epilogue when it reports a parked exception (negative status).
-  void call_helper(JitHelperFn helper, const vm::Instr& in) {
-    buf_.u8(0x48); buf_.u8(0x89); buf_.u8(0xDF);  // mov rdi,rbx
-    buf_.u8(0xBE); buf_.u32(static_cast<std::uint32_t>(in.a));  // mov esi,a
-    buf_.u8(0xBA); buf_.u32(static_cast<std::uint32_t>(in.b));  // mov edx,b
-    buf_.u8(0xB9); buf_.u32(static_cast<std::uint32_t>(in.c));  // mov ecx,c
-    buf_.u8(0x48); buf_.u8(0xB8);  // movabs rax, imm64
-    buf_.u64(reinterpret_cast<std::uint64_t>(helper));
-    buf_.u8(0xFF); buf_.u8(0xD0);  // call rax
-    buf_.u8(0x85); buf_.u8(0xC0);  // test eax,eax
-    buf_.u8(0x0F); buf_.u8(0x88);  // js rel32 -> epilogue
-    fixups_.push_back({buf_.size(), Fixup::Kind::kEpilogue, 0});
-    buf_.u32(0);
-  }
-
-  void jmp_to_block(std::size_t pc) {
-    buf_.u8(0xE9);  // jmp rel32
-    fixups_.push_back({buf_.size(), Fixup::Kind::kBlock, pc});
-    buf_.u32(0);
-  }
-
-  // ---- specialized-tier encoding primitives -----------------------------
+  // ---- encoding primitives ---------------------------------------------
   //
   // Register numbering is the x86 one: rax=0 rcx=1 rdx=2 rbx=3 rsp=4
   // rbp=5 rsi=6 rdi=7 r8..r15=8..15. Virtual-stack homes are r8+d /
@@ -670,10 +287,23 @@ class Emitter {
     buf_.u8(0xFF); buf_.u8(0xD0);  // call rax
   }
 
-  void js_epilogue() {
-    buf_.u8(0x0F); buf_.u8(0x88);  // js rel32 -> epilogue
-    fixups_.push_back({buf_.size(), Fixup::Kind::kEpilogue, 0});
+  void js_bail() {
+    buf_.u8(0x0F); buf_.u8(0x88);  // js rel32 -> bail
+    std::size_t at = buf_.size();
     buf_.u32(0);
+    patch_rel32(at, bail_off_);
+  }
+
+  void jmp_to(std::size_t target) {
+    buf_.u8(0xE9);  // jmp rel32
+    std::size_t at = buf_.size();
+    buf_.u32(0);
+    patch_rel32(at, target);
+  }
+
+  void mov_rax_imm32(std::int64_t x) {  // mov rax, sign-extended imm32
+    buf_.u8(0x48); buf_.u8(0xC7); buf_.u8(0xC0);
+    buf_.u32(static_cast<std::uint32_t>(x));
   }
 
   void patch_rel32(std::size_t at, std::size_t target) {
@@ -708,13 +338,13 @@ class Emitter {
     }
   }
 
-  // ---- specialized-tier layout ------------------------------------------
+  // ---- region layout ---------------------------------------------------
 
   /// The shared slow-path thunk behind every segment check. Caller-saved
   /// virtual-stack registers are preserved around jit_spec_slow (the
   /// callee-saved local homes survive on their own); eax carries the
   /// segment's step count in, rax the fresh fuel out. Entered by a call
-  /// at block level (rsp % 16 == 0): ret addr + 4 pushes leave rsp at 8,
+  /// from region code (rsp % 16 == 0): ret addr + 4 pushes leave rsp at 8,
   /// sub 40 re-aligns for the C call.
   void emit_thunk() {
     const JitSpecHelpers& h = jit_spec_helpers();
@@ -739,7 +369,7 @@ class Emitter {
     buf_.u8(0x89); buf_.u8(0xC2);                 // mov edx,eax
     spec_call(h.slow);
     buf_.u8(0x48); buf_.u8(0x85); buf_.u8(0xC0);  // test rax,rax
-    js_epilogue();                 // parked exception: bail (epilogue
+    js_bail();                     // parked exception (the epilogue
                                    // discards this frame via r12)
     buf_.u8(0x49); buf_.u8(0x89); buf_.u8(0xC6);  // mov r14,rax
     for (int x = 0; x < 4; ++x) {  // movsd xmm_x, [rsp+8x]
@@ -807,26 +437,24 @@ class Emitter {
     }
   }
 
-  void emit_region(const RegionPlan& r, std::size_t ri) {
+  /// Emits one region; returns the offset of its guarded entry.
+  std::size_t emit_region(const RegionPlan& r) {
     const JitSpecHelpers& h = jit_spec_helpers();
     reg_fix_.clear();
     exit_fix_.clear();
     seg_recs_.clear();
 
-    // Deopt trampoline: count it, resume at the generic translation of
-    // lo (+5 skips the redirect back into this entry).
+    // Deopt: count it and hand the displaced instruction back to the VM.
     std::size_t deopt_off = buf_.size();
     buf_.u8(0x49); buf_.u8(0xFF); buf_.u8(0x45); buf_.u8(0x20);  // inc [r13+32]
-    buf_.u8(0xE9);
-    fixups_.push_back({buf_.size(), Fixup::Kind::kBlockPlus5, r.lo});
-    buf_.u32(0);
+    ret_to_vm(vm::RegionHost::kDeopt);
 
-    // Entry: stale fuel from whatever ran since the last region is
-    // discarded, then the guards prove every tracked slot's shape and
-    // payload type (read-only: a failed guard deopts with zero state
-    // to undo). Scalar guards also park the payload in the bank, so
-    // passing them doubles as the first-touch load.
-    spec_entry_off_[ri] = buf_.size();
+    // Entry: fuel starts at zero so the next batch re-derives a budget,
+    // then the guards prove every tracked slot's shape and payload type
+    // (read-only: a failed guard deopts with zero state to undo). Scalar
+    // guards also park the payload in the bank, so passing them doubles
+    // as the first-touch load.
+    std::size_t entry_off = buf_.size();
     buf_.u8(0x45); buf_.u8(0x31); buf_.u8(0xF6);  // xor r14d,r14d
     for (const SpecGuard& g : r.guards) {
       buf_.u8(0x48); buf_.u8(0x89); buf_.u8(0xDF);  // mov rdi,rbx
@@ -845,6 +473,22 @@ class Emitter {
     for (const SpecLocal& l : r.locals) {
       if (l.reg >= 0) mov_r_m13(l.reg, bank_disp(l.bank));
     }
+    // The VM charged lo's step when it dispatched Op::kRegion, so the
+    // first batch (which starts at lo) charges the rest of its ops and
+    // joins the body past its own check. In-region back-edges to lo
+    // still land before that check and pay the whole batch.
+    const std::int32_t first = r.segments.front().steps;
+    if (first > 1) {
+      buf_.u8(0xB8); buf_.u32(static_cast<std::uint32_t>(first - 1));
+      buf_.u8(0xE8);  // call thunk
+      std::size_t at = buf_.size();
+      buf_.u32(0);
+      patch_rel32(at, thunk_off_);
+    }
+    r13_mem_imm(0, 24, 1);  // env->spec_ops += 1 (lo itself)
+    buf_.u8(0xE9);          // jmp rel32 -> past the first batch's check
+    std::size_t join_at = buf_.size();
+    buf_.u32(0);
 
     // Body. Internal edges land on spec_off (before the pc's segment
     // check, so back-edges recharge their batch every iteration).
@@ -891,6 +535,8 @@ class Emitter {
     for (const ExitFix& f : exit_fix_) {
       patch_rel32(f.at, exit_off[f.exit_ix]);
     }
+    patch_rel32(join_at, seg_recs_.front().cont);
+    return entry_off;
   }
 
   void emit_act(const RegionPlan& r, std::size_t pc) {
@@ -1185,7 +831,7 @@ class Emitter {
     } else {
       buf_.u8(0x48); buf_.u8(0x85); buf_.u8(0xC0);  // test rax,rax (status)
     }
-    js_epilogue();
+    js_bail();
     if (!store) {
       std::size_t d = n - 1;  // result replaces the index operand
       if (a.out == SpecType::kDbl) {
@@ -1211,11 +857,10 @@ class Emitter {
     }
   }
 
-  /// Materialize a region state for the generic tier: push live virtual
-  /// stack entries (bottom first), write every touched local back to its
-  /// cell, then resume at the generic block. Helper statuses bail to the
-  /// epilogue — only allocation can throw here, and then the program is
-  /// dying anyway.
+  /// Materialize a region state for the VM: push live virtual stack
+  /// entries (bottom first), write every touched local back to its cell,
+  /// then return the exit's target pc. Helper statuses bail — only
+  /// allocation can throw here, and then the program is dying anyway.
   void emit_exit_stub(const RegionPlan& r, const SpecExit& e) {
     const JitSpecHelpers& h = jit_spec_helpers();
     for (std::size_t d = 0; d < e.vstack.size() && d < kVstackRegDepth;
@@ -1235,7 +880,7 @@ class Emitter {
       buf_.u32(static_cast<std::uint32_t>(e.vstack[d]));  // edx = type
       spec_call(h.push);
       buf_.u8(0x85); buf_.u8(0xC0);
-      js_epilogue();
+      js_bail();
     }
     for (const SpecWriteback& wb : e.writebacks) {
       const SpecLocal* l =
@@ -1253,7 +898,7 @@ class Emitter {
           buf_.u8(0xB9); buf_.u32(static_cast<std::uint32_t>(wb.type));
           spec_call(h.wb_store);
           buf_.u8(0x85); buf_.u8(0xC0);
-          js_epilogue();
+          js_bail();
           break;
         case SpecWriteback::Kind::kDeclare:
           buf_.u8(0xBE); buf_.u32(static_cast<std::uint32_t>(wb.decl));
@@ -1261,7 +906,7 @@ class Emitter {
           buf_.u8(0xB9); buf_.u32(static_cast<std::uint32_t>(wb.type));
           spec_call(h.wb_decl);
           buf_.u8(0x85); buf_.u8(0xC0);
-          js_epilogue();
+          js_bail();
           break;
         case SpecWriteback::Kind::kUnbind:
           buf_.u8(0xBE); buf_.u32(static_cast<std::uint32_t>(wb.slot));
@@ -1274,15 +919,12 @@ class Emitter {
           break;
       }
     }
-    buf_.u8(0xE9);  // resume generic (a region lo re-enters via redirect)
-    fixups_.push_back({buf_.size(), Fixup::Kind::kBlock, e.target});
-    buf_.u32(0);
+    ret_to_vm(static_cast<std::int64_t>(e.target));
   }
 
   /// LOL_JIT_DUMP / --jit-dump: the analysis listing plus a hex dump of
   /// each emitted region (entry, body, stubs).
-  void append_dump() {
-    std::string& d = *opts_.dump;
+  void append_dump(std::string& d) {
     d += describe_plan(chunk_, plan_);
     char line[80];
     for (std::size_t ri = 0; ri < plan_.regions.size(); ++ri) {
@@ -1322,22 +964,11 @@ class Emitter {
   };
 
   const vm::Chunk& chunk_;
-  JitEmitOptions opts_;
   CodeBuf buf_;
-  std::vector<std::size_t> block_off_;
-  std::vector<std::size_t> stub_off_;
+  std::size_t bail_off_ = 0;
   std::size_t epilogue_off_ = 0;
-  std::vector<Fixup> fixups_;
-  // Operand-type analysis state (build_type_facts / track).
-  std::vector<bool> jump_target_;
-  std::vector<Tag> slot_tag_;
-  std::vector<bool> slot_seen_;
-  std::vector<Tag> astack_;
-  // Specialized-tier state.
-  SpecPlan plan_;
-  std::map<std::size_t, std::size_t> region_at_;  // region lo pc -> index
-  std::vector<std::size_t> spec_entry_off_;       // per region index
   std::size_t thunk_off_ = 0;
+  SpecPlan plan_;
   std::vector<std::pair<std::size_t, std::size_t>> region_code_;
   std::vector<RegFix> reg_fix_;
   std::vector<ExitFix> exit_fix_;
@@ -1380,10 +1011,10 @@ void key_value(std::string& k, const rt::Value& v) {
 
 }  // namespace
 
-bool emit_chunk_x86_64(const vm::Chunk& chunk, const JitEmitOptions& opts,
-                       std::vector<std::uint8_t>* out, std::string* error,
-                       JitEmitInfo* info) {
-  return Emitter(chunk, opts).emit(out, error, info);
+std::vector<std::uint8_t> emit_chunk_x86_64(const vm::Chunk& chunk,
+                                            JitEmitInfo* info,
+                                            std::string* dump) {
+  return Emitter(chunk).emit(info, dump);
 }
 
 std::string chunk_cache_key(const vm::Chunk& chunk) {

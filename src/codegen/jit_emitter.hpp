@@ -1,42 +1,40 @@
-// Lowers VM bytecode to x86-64 machine code. Two tiers share one code
-// object:
+// Lowers the type-specialized regions of a VM bytecode chunk to x86-64.
 //
-// Tier 1 — call-threading: each bytecode instruction becomes a short
-// machine-code block that calls the per-opcode helper (jit_runtime.cpp)
-// with its operands baked in as immediates, so every op executes the exact
-// same C++ the VM's dispatch loop runs — byte-identical output, step
-// accounting, replay scheduling and fault injection by construction. What
-// the JIT removes is the fetch/decode/dispatch: jumps become machine
-// jumps, LOLCODE calls become machine calls, and a cold "compile" is just
-// this emitter plus an mmap — no fork/exec of a host toolchain.
+// The analysis (jit_analysis.hpp) finds pc ranges whose ops provably work
+// on NUMBR/NUMBAR/TROOF payloads. This emitter compiles each one to raw
+// machine arithmetic with the virtual stack and hot locals held in
+// registers — no Value boxing, no helper call per op. Everything else
+// stays bytecode: the VM's dispatch loop runs it, and enters a region
+// when it reaches the region's first pc (Op::kRegion, vm/vm.hpp).
 //
-// Tier 2 — type-specialized regions (jit_analysis.hpp): pc ranges whose
-// ops provably work on NUMBR/NUMBAR/TROOF payloads compile to raw machine
-// arithmetic with the virtual stack and hot locals held in registers — no
-// Value boxing, no helper call. The generic block at a region's entry pc
-// starts with a jump into the specialized body; runtime type guards
-// deopt back to the generic blocks (entry + 5, skipping that jump), and
-// region exits materialize live registers onto the VM stack before
-// falling into the generic tier. Step accounting runs in per-basic-block
-// batches against a fuel counter so budgets, abort polls, fault steps
-// and replay schedules stay VM-exact (see emit_spec_segment_check).
+// One code object holds a shared frame and every region:
+//   - entry (offset 0, JitEntryFn) saves the callee-saved registers and
+//     jumps to the region code it was passed;
+//   - a region's guards prove the types it assumed; a failure deopts,
+//     returning RegionHost::kDeopt with nothing changed;
+//   - the body charges steps in per-basic-block batches against a fuel
+//     counter, so budgets, abort polls, fault steps and replay schedules
+//     stay VM-exact (see emit_seg_check);
+//   - every exit stub materializes live registers onto the VM stack,
+//     writes dirty locals back to their cells and returns the pc the VM
+//     resumes at;
+//   - bail returns kJitThrew after a runtime helper parked an exception.
 //
 // ABI and register plan (SysV x86-64):
 //   rbx — the vm::Vm* for this PE (callee-saved, survives helper calls)
 //   r12 — rsp snapshot from the prologue; the epilogue restores it, which
-//         safely discards any nested JIT frames when a helper threw
+//         discards the slow-path thunk's frame when a helper threw
 //   r13 — the JitSpecEnv* (step counters, PE identity, spill bank)
-//   r14 — specialized-tier step fuel: inline-chargeable steps left before
-//         the next jit_spec_slow() call must re-derive the budget
+//   r14 — step fuel: inline-chargeable steps left before the next
+//         jit_spec_slow() call must re-derive the budget
 //   r15/rbp — register homes for the two hottest integer locals in a
-//         specialized region (assigned by the linear scan)
+//         region (assigned by the linear scan)
 //   r8-r11 / xmm0-xmm3 — virtual-stack registers, relative depth 0-3
-//   entry signature: void (*)(vm::Vm*, JitSpecEnv*)
 //
 // Helpers return <0 after catching a C++ exception (stashed in a
-// thread-local, rethrown by the wrapper in jit_backend.cpp); every call
-// site tests the sign and bails to the epilogue. JIT frames contain no
-// destructors, so skipping them is sanitizer-clean.
+// thread-local, rethrown by jit_backend.cpp); every call site tests the
+// sign and bails. Emitted frames contain no destructors, so skipping
+// them is sanitizer-clean.
 #pragma once
 
 #include <cstddef>
@@ -56,41 +54,21 @@ struct ExecContext;
 
 namespace lol::codegen {
 
-/// One per-opcode helper: (vm, a, b, c) -> status. Status >= 0 is the
-/// op-specific result (branch taken for kJumpIfFalse), < 0 means a C++
-/// exception was caught and parked in detail::jit_pending().
-using JitHelperFn = std::int32_t (*)(vm::Vm*, std::int32_t, std::int32_t,
-                                     std::int32_t);
-
-/// Helper table indexed by static_cast<std::size_t>(vm::Op). Defined in
-/// jit_runtime.cpp next to the helper bodies.
-const JitHelperFn* jit_helper_table();
-
-/// Addresses of the typed kBinary fast-path preps (jit_runtime.cpp),
-/// embedded by the emitter as movabs immediates. SysV struct returns:
-/// the NUMBR prep yields {lhs-ptr, rhs} in rax:rdx, the NUMBAR prep
-/// lhs-ptr in rax with rhs in xmm0. A zero lhs means the operands were
-/// not both that type (no step charged — the emitted code falls back to
-/// the generic kBinary helper); -1 means the prep threw and parked the
-/// exception like any helper.
-std::uint64_t jit_binfast_numbr_addr();
-std::uint64_t jit_binfast_numbar_addr();
-
 namespace detail {
 /// The exception a helper caught on this thread, awaiting rethrow.
 std::exception_ptr& jit_pending();
 }  // namespace detail
 
 /// Per-run environment the emitted code keeps in r13. The backend fills
-/// one per PE entry; the spill bank (one quad per virtual-stack slot and
-/// per tracked local, jit_analysis.hpp) follows the struct in the same
+/// one per PE; the spill bank (one quad per virtual-stack slot and per
+/// tracked local, jit_analysis.hpp) follows the struct in the same
 /// allocation at kJitEnvBankOffset. Field offsets are baked into emitted
-/// displacements — append-only.
+/// displacements.
 struct JitSpecEnv {
   rt::ExecContext* ctx = nullptr;  // @0  step/abort/fault counters
   std::int64_t me = 0;             // @8  PE id (kMe without a helper)
   std::int64_t n_pes = 0;          // @16 gang size (kMahFrenz)
-  std::uint64_t spec_ops = 0;      // @24 ops retired by specialized code
+  std::uint64_t spec_ops = 0;      // @24 ops retired by region code
   std::uint64_t deopts = 0;        // @32 region-entry guard failures
   std::uint64_t reserved = 0;      // @40 keeps the bank 16-byte aligned
 };
@@ -102,13 +80,18 @@ static_assert(sizeof(JitSpecEnv) == kJitEnvBankOffset);
 /// env allocation with this so emitted displacements can never overrun.
 inline constexpr std::size_t kJitSpecMaxBank = 40;
 
-/// Entry-point signature at offset 0 of the emitted code.
-using JitEntryFn = void (*)(vm::Vm*, JitSpecEnv*);
+/// Entry point at offset 0 of the emitted code: runs the region whose
+/// code starts at `region`, returning the pc to resume at,
+/// vm::RegionHost::kDeopt, or kJitThrew.
+using JitEntryFn = std::int64_t (*)(vm::Vm*, JitSpecEnv*,
+                                    const void* region);
 
-/// Addresses of the specialized tier's runtime calls (jit_runtime.cpp),
-/// embedded as movabs immediates. Same exception discipline as the
-/// per-opcode helpers: a negative status (or, for jit_spec_slow, a
-/// negative fuel) means "parked, bail to the epilogue".
+/// JitEntryFn result: a helper parked an exception in jit_pending().
+inline constexpr std::int64_t kJitThrew = -2;
+
+/// Addresses of the regions' runtime calls (jit_runtime.cpp), embedded
+/// as movabs immediates. A negative status (or, for jit_spec_slow, a
+/// negative fuel) means "exception parked, bail".
 struct JitSpecHelpers {
   std::uint64_t slow = 0;       // i64(Vm*, JitSpecEnv*, i64 k) -> fuel
   std::uint64_t guard = 0;      // i32(Vm*, i32 slot, i32 kind, i64* bank)
@@ -124,23 +107,24 @@ struct JitSpecHelpers {
 };
 const JitSpecHelpers& jit_spec_helpers();
 
-struct JitEmitOptions {
-  bool specialize = true;    // build tier-2 regions (LOL_JIT_SPEC)
-  std::string* dump = nullptr;  // receives the annotated region listing
+/// Where one region's machine code is entered.
+struct JitRegionEntry {
+  std::size_t lo = 0;      // first bytecode pc of the region
+  std::size_t offset = 0;  // code offset of its guarded entry
 };
 
 struct JitEmitInfo {
   std::int32_t bank_slots = 0;   // env bank quads the code needs
   std::uint64_t regions = 0;     // specialized regions emitted
   std::uint64_t spec_pcs = 0;    // bytecode pcs covered by those regions
+  std::vector<JitRegionEntry> entries;  // one per region, ascending lo
 };
 
-/// Emits position-independent x86-64 for `chunk` into `out`. The code's
-/// entry point is offset 0 with signature JitEntryFn. Returns false
-/// with `error` set when the chunk cannot be lowered.
-bool emit_chunk_x86_64(const vm::Chunk& chunk, const JitEmitOptions& opts,
-                       std::vector<std::uint8_t>* out, std::string* error,
-                       JitEmitInfo* info);
+/// Emits position-independent x86-64 for the regions of `chunk` and
+/// fills `info`. `dump`, when set, receives the annotated region listing.
+std::vector<std::uint8_t> emit_chunk_x86_64(const vm::Chunk& chunk,
+                                            JitEmitInfo* info,
+                                            std::string* dump);
 
 /// Deterministic binary serialization of a chunk, used as the JIT code
 /// cache key: identical bytecode => identical key => one emitted program.

@@ -1,16 +1,11 @@
-// Per-opcode helpers the emitted machine code calls. Each helper charges
-// the step (exactly like the VM's dispatch loop does per instruction),
-// runs the shared Vm::op_* body, and converts any C++ exception into a
-// negative status with the exception parked in a thread-local — emitted
-// code has no unwind tables, so exceptions must not propagate through it.
-// jit_backend.cpp rethrows after the epilogue returns.
-//
-// The second half of this file is the specialized tier's runtime surface
-// (JitSpecAccess): region-entry type guards, batched step accounting,
-// SRSLY-array element access, and the exit-path materialization that
-// rebuilds VM state from register/bank values. Every error these raise
-// uses the exact strings the Vm methods use, so a program that dies
-// inside a specialized region dies with a byte-identical message.
+// The runtime surface of the JIT's specialized regions (JitSpecAccess):
+// region-entry type guards, batched step accounting, SRSLY-array element
+// access, and the exit-path materialization that rebuilds VM state from
+// register/bank values. Every error these raise uses the exact strings
+// the Vm methods use, so a program that dies inside a region dies with a
+// byte-identical message. Emitted code has no unwind tables, so the
+// extern wrappers convert any C++ exception into a negative status with
+// the exception parked in a thread-local; jit_backend.cpp rethrows it.
 #include <algorithm>
 
 #include "codegen/jit_analysis.hpp"
@@ -204,174 +199,8 @@ std::exception_ptr& jit_pending() {
 
 namespace {
 
-using vm::Op;
-using vm::Vm;
-
-/// Runs `body` under the step charge; parks exceptions. `body` returns
-/// the op's non-negative status (almost always 0).
-template <typename Body>
-std::int32_t guarded(Vm* vm, Body&& body) {
-  try {
-    vm->ctx().count_step();
-    return body();
-  } catch (...) {
-    detail::jit_pending() = std::current_exception();
-    return -1;
-  }
-}
-
-std::int32_t h_const(Vm* vm, std::int32_t a, std::int32_t, std::int32_t) {
-  return guarded(vm, [&] { vm->op_const(a); return 0; });
-}
-std::int32_t h_pop(Vm* vm, std::int32_t, std::int32_t, std::int32_t) {
-  return guarded(vm, [&] { vm->op_pop(); return 0; });
-}
-std::int32_t h_load_it(Vm* vm, std::int32_t, std::int32_t, std::int32_t) {
-  return guarded(vm, [&] { vm->op_load_it(); return 0; });
-}
-std::int32_t h_store_it(Vm* vm, std::int32_t, std::int32_t, std::int32_t) {
-  return guarded(vm, [&] { vm->op_store_it(); return 0; });
-}
-std::int32_t h_declare(Vm* vm, std::int32_t a, std::int32_t, std::int32_t) {
-  return guarded(vm, [&] { vm->op_declare(a); return 0; });
-}
-std::int32_t h_unbind(Vm* vm, std::int32_t a, std::int32_t, std::int32_t) {
-  return guarded(vm, [&] { vm->op_unbind(a); return 0; });
-}
-std::int32_t h_load_var(Vm* vm, std::int32_t a, std::int32_t b,
-                        std::int32_t) {
-  return guarded(vm, [&] { vm->op_load_var(a, b); return 0; });
-}
-std::int32_t h_store_var(Vm* vm, std::int32_t a, std::int32_t b,
-                         std::int32_t) {
-  return guarded(vm, [&] { vm->op_store_var(a, b); return 0; });
-}
-std::int32_t h_copy_array(Vm* vm, std::int32_t a, std::int32_t b,
-                          std::int32_t c) {
-  return guarded(vm, [&] { vm->op_copy_array(a, b, c); return 0; });
-}
-std::int32_t h_lock(Vm* vm, std::int32_t a, std::int32_t b, std::int32_t c) {
-  return guarded(vm, [&] { vm->op_lock(a, b, c); return 0; });
-}
-std::int32_t h_binary(Vm* vm, std::int32_t a, std::int32_t, std::int32_t) {
-  return guarded(vm, [&] { vm->op_binary(a); return 0; });
-}
-std::int32_t h_unary(Vm* vm, std::int32_t a, std::int32_t, std::int32_t) {
-  return guarded(vm, [&] { vm->op_unary(a); return 0; });
-}
-std::int32_t h_nary(Vm* vm, std::int32_t a, std::int32_t b, std::int32_t) {
-  return guarded(vm, [&] { vm->op_nary(a, b); return 0; });
-}
-std::int32_t h_cast(Vm* vm, std::int32_t a, std::int32_t b, std::int32_t) {
-  return guarded(vm, [&] { vm->op_cast(a, b); return 0; });
-}
-std::int32_t h_step_only(Vm* vm, std::int32_t, std::int32_t, std::int32_t) {
-  // kJump / kHalt: control flow is in the emitted code; only the step
-  // charge remains.
-  return guarded(vm, [&] { return 0; });
-}
-std::int32_t h_jump_if_false(Vm* vm, std::int32_t, std::int32_t,
-                             std::int32_t) {
-  return guarded(vm, [&] { return vm->op_jump_if_false() ? 1 : 0; });
-}
-std::int32_t h_call(Vm* vm, std::int32_t a, std::int32_t b, std::int32_t) {
-  // The machine `call` that follows targets the function's stub; the
-  // entry pc op_call returns (and the ret_pc it records) are only used
-  // by the interpreting VM.
-  return guarded(vm, [&] { (void)vm->op_call(a, b, 0); return 0; });
-}
-std::int32_t h_return(Vm* vm, std::int32_t, std::int32_t, std::int32_t) {
-  return guarded(vm, [&] { (void)vm->op_return(); return 0; });
-}
-std::int32_t h_me(Vm* vm, std::int32_t, std::int32_t, std::int32_t) {
-  return guarded(vm, [&] { vm->op_me(); return 0; });
-}
-std::int32_t h_mah_frenz(Vm* vm, std::int32_t, std::int32_t, std::int32_t) {
-  return guarded(vm, [&] { vm->op_mah_frenz(); return 0; });
-}
-std::int32_t h_whatevr(Vm* vm, std::int32_t, std::int32_t, std::int32_t) {
-  return guarded(vm, [&] { vm->op_whatevr(); return 0; });
-}
-std::int32_t h_whatevar(Vm* vm, std::int32_t, std::int32_t, std::int32_t) {
-  return guarded(vm, [&] { vm->op_whatevar(); return 0; });
-}
-std::int32_t h_hugz(Vm* vm, std::int32_t, std::int32_t, std::int32_t) {
-  return guarded(vm, [&] { vm->op_hugz(); return 0; });
-}
-std::int32_t h_bff_push(Vm* vm, std::int32_t, std::int32_t, std::int32_t) {
-  return guarded(vm, [&] { vm->op_bff_push(); return 0; });
-}
-std::int32_t h_bff_pop(Vm* vm, std::int32_t a, std::int32_t, std::int32_t) {
-  return guarded(vm, [&] { vm->op_bff_pop(a); return 0; });
-}
-std::int32_t h_visible(Vm* vm, std::int32_t a, std::int32_t b,
-                       std::int32_t) {
-  return guarded(vm, [&] { vm->op_visible(a, b); return 0; });
-}
-std::int32_t h_gimmeh(Vm* vm, std::int32_t, std::int32_t, std::int32_t) {
-  return guarded(vm, [&] { vm->op_gimmeh(); return 0; });
-}
-
-constexpr std::size_t kOpCount = static_cast<std::size_t>(Op::kHalt) + 1;
-
-const JitHelperFn kTable[kOpCount] = {
-    /* kConst       */ h_const,
-    /* kPop         */ h_pop,
-    /* kLoadIt      */ h_load_it,
-    /* kStoreIt     */ h_store_it,
-    /* kDeclare     */ h_declare,
-    /* kLoadVar     */ h_load_var,
-    /* kStoreVar    */ h_store_var,
-    /* kCopyArray   */ h_copy_array,
-    /* kLock        */ h_lock,
-    /* kBinary      */ h_binary,
-    /* kUnary       */ h_unary,
-    /* kNary        */ h_nary,
-    /* kCast        */ h_cast,
-    /* kJump        */ h_step_only,
-    /* kJumpIfFalse */ h_jump_if_false,
-    /* kCall        */ h_call,
-    /* kReturn      */ h_return,
-    /* kMe          */ h_me,
-    /* kMahFrenz    */ h_mah_frenz,
-    /* kWhatevr     */ h_whatevr,
-    /* kWhatevar    */ h_whatevar,
-    /* kHugz        */ h_hugz,
-    /* kBffPush     */ h_bff_push,
-    /* kBffPop      */ h_bff_pop,
-    /* kVisible     */ h_visible,
-    /* kGimmeh      */ h_gimmeh,
-    /* kUnbind      */ h_unbind,
-    /* kHalt        */ h_step_only,
-};
-
-// Typed kBinary fast-path preps. Same exception discipline as the
-// helpers (park + sentinel), but the return is a two-field struct so the
-// emitted code receives the operand view directly in registers: BinFastI
-// in rax:rdx, BinFastD in rax + xmm0 (SysV). lhs == 0 signals a type
-// mismatch (no step charged — fall back to the generic helper); lhs ==
-// -1 signals a parked exception (bail to the epilogue).
-vm::BinFastI jf_binfast_numbr(Vm* vm) {
-  try {
-    return vm->binfast_prep_numbr();
-  } catch (...) {
-    detail::jit_pending() = std::current_exception();
-    return {reinterpret_cast<std::int64_t*>(-1), 0};
-  }
-}
-
-vm::BinFastD jf_binfast_numbar(Vm* vm) {
-  try {
-    return vm->binfast_prep_numbar();
-  } catch (...) {
-    detail::jit_pending() = std::current_exception();
-    return {reinterpret_cast<double*>(-1), 0.0};
-  }
-}
-
-// ---- specialized-tier runtime ------------------------------------------
-
 using vm::JitSpecAccess;
+using vm::Vm;
 
 /// Batched step accounting. A specialized basic block of k ops charges
 /// them inline (fuel permitting); when fuel runs out, this charges the
@@ -496,16 +325,6 @@ std::int32_t js_wb_it(Vm* vm, std::int64_t bits, std::int32_t type) {
 }
 
 }  // namespace
-
-const JitHelperFn* jit_helper_table() { return kTable; }
-
-std::uint64_t jit_binfast_numbr_addr() {
-  return reinterpret_cast<std::uint64_t>(&jf_binfast_numbr);
-}
-
-std::uint64_t jit_binfast_numbar_addr() {
-  return reinterpret_cast<std::uint64_t>(&jf_binfast_numbar);
-}
 
 const JitSpecHelpers& jit_spec_helpers() {
   static const JitSpecHelpers h = [] {

@@ -38,6 +38,7 @@ struct lolrt_pe {
   std::vector<std::unique_ptr<char[]>> allocs; // lolrt_alloc blocks
   std::vector<int> bff;
   void* user = nullptr;
+  int call_depth = 0;  // live generated-function frames
 
   std::jmp_buf jb;
   char err[512] = {0};
@@ -333,6 +334,21 @@ void lolrt_step(lolrt_pe* pe) {
   return;
   LOLRT_END(pe)
 }
+
+void lolrt_call_enter(lolrt_pe* pe) {
+  constexpr int kMaxFrames = 2000;  // vm::Vm's limit, main's frame included
+  LOLRT_TRY
+  if (pe->call_depth + 1 >= kMaxFrames) {
+    throw lol::support::RuntimeError("call depth exceeded (" +
+                                     std::to_string(kMaxFrames) +
+                                     "): runaway recursion?");
+  }
+  ++pe->call_depth;
+  return;
+  LOLRT_END(pe)
+}
+
+void lolrt_call_leave(lolrt_pe* pe) { --pe->call_depth; }
 
 long long lolrt_me(lolrt_pe* pe) { return pe->ctx->pe->id(); }
 long long lolrt_n_pes(lolrt_pe* pe) { return pe->ctx->pe->n_pes(); }

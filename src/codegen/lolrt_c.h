@@ -109,6 +109,14 @@ lolv lolrt_gimmeh(lolrt_pe* pe);
  * launcher, which reports a step-limit or abort failure for this PE. */
 void lolrt_step(lolrt_pe* pe);
 
+/* -- call depth ---------------------------------------------------------------- */
+/* Bracket every generated function body: enter on entry, leave before each
+ * return. An enter past the VM's frame limit (2000, main's included) fails
+ * the PE with the VM's "call depth exceeded" error instead of overflowing
+ * its machine stack. */
+void lolrt_call_enter(lolrt_pe* pe);
+void lolrt_call_leave(lolrt_pe* pe);
+
 /* -- SPMD / PGAS (the paper's Table II surface) ------------------------------- */
 long long lolrt_me(lolrt_pe* pe);      /* ME */
 long long lolrt_n_pes(lolrt_pe* pe);   /* MAH FRENZ */

@@ -130,12 +130,12 @@ RunResult run(const CompiledProgram& prog, const RunConfig& cfg) {
   engine_metrics().runs_by_backend.with(to_string(cfg.backend)).inc();
   const auto t_run0 = std::chrono::steady_clock::now();
 
-  // Resolve the effective backend: kJit silently degrades to the
-  // cc+dlopen portability tier when this host can't execute emitted
-  // pages (non-x86-64, W^X-only kernel, LOL_JIT=0).
+  // Resolve the effective backend: kJit runs the plain VM when this
+  // host can't execute emitted pages (non-x86-64, W^X-only kernel,
+  // LOL_JIT=0) — the same program without its machine-code regions.
   Backend backend = cfg.backend;
   if (backend == Backend::kJit && !codegen::jit_available()) {
-    backend = Backend::kNative;
+    backend = Backend::kVm;
   }
 
   // The native backend translates to C and invokes the host cc once per
@@ -246,16 +246,14 @@ RunResult run(const CompiledProgram& prog, const RunConfig& cfg) {
   std::shared_ptr<const codegen::JitProgram> jit;
   if (backend == Backend::kJit) {
     std::string jerr;
-    if (prog.jit_slot != nullptr && !cfg.jit_spec.has_value()) {
+    if (prog.jit_slot != nullptr) {
       std::lock_guard<std::mutex> g(prog.jit_slot->m);
       if (prog.jit_slot->prog == nullptr) {
         prog.jit_slot->prog = codegen::JitProgram::get_or_build(chunk, &jerr);
       }
       jit = prog.jit_slot->prog;
     } else {
-      // A per-run tier override skips the per-program memo: the global
-      // cache keys on the flag, so both variants coexist.
-      jit = codegen::JitProgram::get_or_build(chunk, &jerr, cfg.jit_spec);
+      jit = codegen::JitProgram::get_or_build(chunk, &jerr);
     }
     if (jit == nullptr) {
       return error_result(cfg.n_pes, "jit backend: " + jerr);

@@ -48,10 +48,10 @@ enum class Backend {
             // in-process on the same shmem substrate; needs a host C
             // compiler (lol::codegen::native_available()) or the run
             // fails with an explanatory error
-  kJit,     // VM bytecode lowered directly to x86-64 in executable pages
-            // (W^X mmap) — no host toolchain, microsecond cold compiles.
-            // Falls back to kNative automatically when the host is not
-            // x86-64, the kernel refuses PROT_EXEC, or LOL_JIT=0
+  kJit,     // the VM with its type-specialized regions compiled to
+            // x86-64 in executable pages (W^X mmap) — no host toolchain,
+            // microsecond cold compiles. Runs the plain VM when the host
+            // is not x86-64, the kernel refuses PROT_EXEC, or LOL_JIT=0
             // (lol::codegen::jit_available())
 };
 
@@ -154,12 +154,6 @@ struct RunConfig {
   /// Explicit executor instance; overrides `executor` when set (hosts
   /// that want their own pool lifetime instead of the shared one).
   shmem::ExecutorPtr executor_impl;
-
-  /// Backend::kJit only: force the type-specialized tier on/off for
-  /// this run, overriding LOL_JIT_SPEC (benchmarks and tests compare
-  /// the tiers in one process; both variants coexist in the code
-  /// cache). nullopt = follow the environment.
-  std::optional<bool> jit_spec;
 
   /// Sample wall-clock wait times (barrier park, lock spin) into the
   /// per-PE profiles returned in RunResult::pe_profiles. Event counts

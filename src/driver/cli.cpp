@@ -1,5 +1,8 @@
 #include "driver/cli.hpp"
 
+#include <charconv>
+#include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -38,6 +41,46 @@ std::optional<std::string> Cli::option(const std::string& name,
   return std::nullopt;
 }
 
+namespace {
+
+template <typename T>
+std::optional<T> parse_whole(std::string_view s) {
+  T v{};
+  const char* end = s.data() + s.size();
+  auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (s.empty() || ec != std::errc{} || ptr != end) return std::nullopt;
+  return v;
+}
+
+}  // namespace
+
+void Cli::bad_value(const std::string& name, const std::string& value,
+                    const std::string& want) const {
+  std::fprintf(stderr, "%s: bad %s '%s' (want %s)\n",
+               prog_.substr(prog_.rfind('/') + 1).c_str(), name.c_str(),
+               value.c_str(), want.c_str());
+  std::exit(2);
+}
+
+std::optional<std::int64_t> Cli::int_option(const std::string& name,
+                                            std::int64_t lo, std::int64_t hi,
+                                            const std::string& alias) {
+  std::optional<std::string> v = option(name, alias);
+  if (!v) return std::nullopt;
+  if (auto n = parse_int(*v, lo, hi)) return n;
+  bad_value(name, *v,
+            "an integer in [" + std::to_string(lo) + ", " +
+                std::to_string(hi) + "]");
+}
+
+std::optional<std::uint64_t> Cli::uint_option(const std::string& name,
+                                              const std::string& alias) {
+  std::optional<std::string> v = option(name, alias);
+  if (!v) return std::nullopt;
+  if (auto n = parse_uint(*v)) return n;
+  bad_value(name, *v, "an unsigned 64-bit integer");
+}
+
 const std::vector<std::string>& Cli::positional() {
   if (!positional_built_) {
     for (std::size_t i = 0; i < args_.size(); ++i) {
@@ -46,6 +89,17 @@ const std::vector<std::string>& Cli::positional() {
     positional_built_ = true;
   }
   return positional_;
+}
+
+std::optional<std::int64_t> parse_int(std::string_view s, std::int64_t lo,
+                                      std::int64_t hi) {
+  std::optional<std::int64_t> v = parse_whole<std::int64_t>(s);
+  if (!v || *v < lo || *v > hi) return std::nullopt;
+  return v;
+}
+
+std::optional<std::uint64_t> parse_uint(std::string_view s) {
+  return parse_whole<std::uint64_t>(s);
 }
 
 std::optional<std::string> read_file(const std::string& path) {

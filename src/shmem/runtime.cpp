@@ -342,11 +342,9 @@ std::int64_t Pe::broadcast_i64(std::int64_t v, int root) {
 // ---------------------------------------------------------------------------
 
 Runtime::Runtime(Config cfg) : cfg_(std::move(cfg)) {
-  // 4096 matches the paper's largest machine (the 4,096-core Epiphany
-  // cluster); counts beyond hardware threads want the fiber executor.
-  if (cfg_.n_pes < 1 || cfg_.n_pes > 4096) {
-    throw RuntimeError("n_pes must be in [1, 4096], got " +
-                       std::to_string(cfg_.n_pes));
+  if (cfg_.n_pes < 1 || cfg_.n_pes > kMaxPes) {
+    throw RuntimeError("n_pes must be in [1, " + std::to_string(kMaxPes) +
+                       "], got " + std::to_string(cfg_.n_pes));
   }
   if (cfg_.heap_bytes % kAlign != 0) {
     cfg_.heap_bytes = (cfg_.heap_bytes + kAlign - 1) & ~(kAlign - 1);

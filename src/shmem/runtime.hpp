@@ -46,6 +46,11 @@
 
 namespace lol::shmem {
 
+/// Largest gang a Runtime launches: the paper's largest machine (the
+/// 4,096-core Epiphany cluster). Counts beyond hardware threads want the
+/// fiber executor.
+inline constexpr int kMaxPes = 4096;
+
 /// Runtime configuration.
 struct Config {
   int n_pes = 1;

@@ -48,6 +48,8 @@ enum class Op : std::uint8_t {
   kGimmeh,      // push one input line as YARN
   kUnbind,      // a = slot; mark unbound (loop-scope reset between iters)
   kHalt,        // end of main
+  kRegion,      // a = JIT region index; only in a JIT's patched copy of
+                // a chunk (vm.hpp RegionHost), never emitted by the compiler
 };
 
 /// Access-mode flags for kLoadVar/kStoreVar/kLock/kCopyArray operands.

@@ -62,6 +62,8 @@ const char* op_name(Op op) {
       return "GIMMEH";
     case Op::kHalt:
       return "HALT";
+    case Op::kRegion:
+      return "REGION";
   }
   return "?";
 }

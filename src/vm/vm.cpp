@@ -153,22 +153,6 @@ void Vm::store_cell(Cell& c, bool indexed, bool remote, const Value* index,
   throw RuntimeError("'Z index applied to a non-array variable");
 }
 
-void Vm::reset_for_run() {
-  frames_.clear();
-  stack_.clear();
-  bff_.clear();
-  // Spill contract with the JIT's specialized tier: region exits
-  // materialize up to codegen::kMaxVstack virtual entries back onto this
-  // stack through JitSpecAccess::push (same bad_alloc discipline as any
-  // op). Reserving here keeps the common materialization re-entrant
-  // without a grow in emitted-code context.
-  stack_.reserve(64);
-  Frame main;
-  main.slots.resize(static_cast<std::size_t>(chunk_.main_slots));
-  main.name_map = 0;
-  frames_.push_back(std::move(main));
-}
-
 void Vm::op_const(std::int32_t a) {
   push(chunk_.consts[static_cast<std::size_t>(a)]);
 }
@@ -369,30 +353,6 @@ void Vm::op_binary(std::int32_t a) {
   push(rt::op_binary(static_cast<ast::BinOp>(a), lhs, rhs));
 }
 
-BinFastI Vm::binfast_prep_numbr() {
-  std::size_t n = stack_.size();
-  if (n < 2 || !stack_[n - 1].is_numbr() || !stack_[n - 2].is_numbr()) {
-    return {};
-  }
-  ctx_.count_step();
-  std::int64_t rhs = stack_[n - 1].numbr_raw();
-  stack_.pop_back();
-  // pop_back never reallocates, so the payload pointer stays valid for
-  // the emitted read-modify-write that follows.
-  return {stack_.back().numbr_ptr(), rhs};
-}
-
-BinFastD Vm::binfast_prep_numbar() {
-  std::size_t n = stack_.size();
-  if (n < 2 || !stack_[n - 1].is_numbar() || !stack_[n - 2].is_numbar()) {
-    return {};
-  }
-  ctx_.count_step();
-  double rhs = stack_[n - 1].numbar_raw();
-  stack_.pop_back();
-  return {stack_.back().numbar_ptr(), rhs};
-}
-
 void Vm::op_unary(std::int32_t a) {
   Value v = pop();
   push(rt::op_unary(static_cast<ast::UnOp>(a), v));
@@ -486,15 +446,17 @@ void Vm::op_gimmeh() {
 }
 
 void Vm::run() {
-  reset_for_run();
+  frames_.emplace_back().slots.resize(
+      static_cast<std::size_t>(chunk_.main_slots));
 
   std::size_t pc = 0;
   for (;;) {
     ctx_.count_step();
-    const Instr& in = chunk_.code[pc++];
-    switch (in.op) {
+    const Instr* in = &chunk_.code[pc++];
+  dispatch:
+    switch (in->op) {
       case Op::kConst:
-        op_const(in.a);
+        op_const(in->a);
         break;
       case Op::kPop:
         op_pop();
@@ -506,43 +468,43 @@ void Vm::run() {
         op_store_it();
         break;
       case Op::kDeclare:
-        op_declare(in.a);
+        op_declare(in->a);
         break;
       case Op::kUnbind:
-        op_unbind(in.a);
+        op_unbind(in->a);
         break;
       case Op::kLoadVar:
-        op_load_var(in.a, in.b);
+        op_load_var(in->a, in->b);
         break;
       case Op::kStoreVar:
-        op_store_var(in.a, in.b);
+        op_store_var(in->a, in->b);
         break;
       case Op::kCopyArray:
-        op_copy_array(in.a, in.b, in.c);
+        op_copy_array(in->a, in->b, in->c);
         break;
       case Op::kLock:
-        op_lock(in.a, in.b, in.c);
+        op_lock(in->a, in->b, in->c);
         break;
       case Op::kBinary:
-        op_binary(in.a);
+        op_binary(in->a);
         break;
       case Op::kUnary:
-        op_unary(in.a);
+        op_unary(in->a);
         break;
       case Op::kNary:
-        op_nary(in.a, in.b);
+        op_nary(in->a, in->b);
         break;
       case Op::kCast:
-        op_cast(in.a, in.b);
+        op_cast(in->a, in->b);
         break;
       case Op::kJump:
-        pc = static_cast<std::size_t>(in.a);
+        pc = static_cast<std::size_t>(in->a);
         break;
       case Op::kJumpIfFalse:
-        if (op_jump_if_false()) pc = static_cast<std::size_t>(in.a);
+        if (op_jump_if_false()) pc = static_cast<std::size_t>(in->a);
         break;
       case Op::kCall:
-        pc = op_call(in.a, in.b, pc);
+        pc = op_call(in->a, in->b, pc);
         break;
       case Op::kReturn:
         pc = op_return();
@@ -566,14 +528,25 @@ void Vm::run() {
         op_bff_push();
         break;
       case Op::kBffPop:
-        op_bff_pop(in.a);
+        op_bff_pop(in->a);
         break;
       case Op::kVisible:
-        op_visible(in.a, in.b);
+        op_visible(in->a, in->b);
         break;
       case Op::kGimmeh:
         op_gimmeh();
         break;
+      case Op::kRegion: {
+        // The charge above was the displaced instruction's step; the
+        // region charges the rest of what it runs.
+        const std::int64_t next = regions_->enter(*this, in->a);
+        if (next != RegionHost::kDeopt) {
+          pc = static_cast<std::size_t>(next);
+          break;
+        }
+        in = &regions_->displaced(in->a);
+        goto dispatch;
+      }
       case Op::kHalt:
         return;
     }

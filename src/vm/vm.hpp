@@ -1,10 +1,13 @@
 // The bytecode VM executor. One Vm instance runs one PE of the SPMD
 // launch, sharing the chunk (read-only) with every other PE.
 //
-// Each opcode's semantics live in a public op_* method so the JIT backend
-// can call the exact same bodies from emitted machine code: the two
-// backends are byte-identical by construction, and the interpreter loop
-// below is just a dispatch table over these methods.
+// The dispatch loop is also the JIT's host (codegen/jit_backend.hpp): a
+// JIT program hands the Vm a copy of the chunk in which the first
+// instruction of every type-specialized region is Op::kRegion, plus a
+// RegionHost that runs the region's machine code. Region exits and
+// deopts hand control back to this loop at an ordinary bytecode pc, so
+// everything outside the regions — calls, I/O, barriers, error paths —
+// is the VM's own code on both backends.
 #pragma once
 
 #include "rt/exec_context.hpp"
@@ -14,33 +17,46 @@
 
 namespace lol::vm {
 
-/// In-place operand views for the JIT's typed kBinary fast path
-/// (codegen/jit_emitter.cpp). `lhs` points at the left operand's payload
-/// inside the VM value stack — after the prep pops the right operand,
-/// that slot is exactly where kBinary would push its result, so emitted
-/// code computes `*lhs op= rhs` and the stack is already correct.
-struct BinFastI {
-  std::int64_t* lhs = nullptr;
-  std::int64_t rhs = 0;
-};
-struct BinFastD {
-  double* lhs = nullptr;
-  double rhs = 0.0;
+class Vm;
+
+/// Runs the machine-code regions a JIT installed over a chunk.
+class RegionHost {
+ public:
+  /// enter() result: an entry guard failed and the region ran nothing.
+  static constexpr std::int64_t kDeopt = -1;
+
+  /// Runs region `index` from its first pc, whose step the dispatch loop
+  /// has already charged. Returns the pc to resume at, or kDeopt. Throws
+  /// exactly what the VM would have thrown at the same step.
+  virtual std::int64_t enter(Vm& vm, std::int32_t index) = 0;
+
+  /// The instruction Op::kRegion `index` displaced; the VM runs it after
+  /// a deopt, without charging its step again.
+  [[nodiscard]] virtual const Instr& displaced(std::int32_t index) const = 0;
+
+ protected:
+  ~RegionHost() = default;
 };
 
 class Vm {
  public:
-  Vm(const Chunk& chunk, rt::ExecContext& ctx) : chunk_(chunk), ctx_(ctx) {}
+  /// `regions` runs the Op::kRegion instructions of a JIT-patched chunk;
+  /// a plain chunk has none and needs no host.
+  Vm(const Chunk& chunk, rt::ExecContext& ctx, RegionHost* regions = nullptr)
+      : chunk_(chunk), ctx_(ctx), regions_(regions) {}
 
   /// Executes the chunk from the top of main. Throws support::RuntimeError
   /// on semantic errors.
   void run();
 
-  /// Clears all execution state and pushes the main frame. run() does this
-  /// itself; the JIT calls it before entering emitted code.
-  void reset_for_run();
-
-  [[nodiscard]] rt::ExecContext& ctx() { return ctx_; }
+ private:
+  /// The JIT's region runtime (codegen/jit_runtime.cpp) reads and writes
+  /// frame cells and the value stack directly on region entry and exit:
+  /// it re-creates exactly the state the bytecode ops would have produced
+  /// (same Cell fields, same stack order), so this loop resumes at the
+  /// exit pc. Keeping the accessor a friend (instead of widening the
+  /// public surface) documents that contract.
+  friend struct JitSpecAccess;
 
   // One method per opcode. Operand names mirror Instr::{a,b,c}. Control
   // flow returns its result instead of mutating a pc the caller owns:
@@ -73,25 +89,6 @@ class Vm {
   void op_bff_pop(std::int32_t a);
   void op_visible(std::int32_t a, std::int32_t b);
   void op_gimmeh();
-
-  /// JIT fast-path preps. When the top two stack slots are both NUMBR
-  /// (resp. NUMBAR): charge the step — exactly what the generic kBinary
-  /// helper would charge — pop the right operand, and return the left
-  /// operand in place plus the popped right value. On a type mismatch
-  /// return a null lhs *without* charging: the caller falls back to the
-  /// generic helper, which charges and runs the full rt::op_binary
-  /// coercion path. May throw (step budget, abort), like any op.
-  BinFastI binfast_prep_numbr();
-  BinFastD binfast_prep_numbar();
-
- private:
-  /// The JIT's specialized tier (codegen/jit_runtime.cpp) reads and
-  /// writes frame cells and the value stack directly when a region deopts
-  /// or exits: it re-creates exactly the state the call-threaded ops
-  /// would have produced (same Cell fields, same stack order), so the
-  /// generic tier can resume mid-program. Keeping the accessor a friend
-  /// (instead of widening the public surface) documents that contract.
-  friend struct JitSpecAccess;
 
   /// One variable slot: scalar value, private array, or symmetric handle.
   struct Cell {
@@ -145,6 +142,7 @@ class Vm {
 
   const Chunk& chunk_;
   rt::ExecContext& ctx_;
+  RegionHost* regions_;
   std::vector<rt::Value> stack_;
   std::vector<Frame> frames_;
   std::vector<int> bff_;

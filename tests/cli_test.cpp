@@ -308,6 +308,28 @@ TEST(LolrunCli, UnknownExecutorIsRejected) {
   EXPECT_NE(r.output.find("unknown executor"), std::string::npos) << r.output;
 }
 
+// Every numeric flag parses strictly: trailing junk, signs on unsigned
+// values and out-of-range values are usage errors (exit 2) instead of
+// silently running with whatever prefix atoi/strtoull made of them.
+TEST(LolrunCli, MalformedNumericFlagsAreUsageErrors) {
+  std::string path =
+      write_program("strict_flags", "HAI 1.2\nVISIBLE ME\nKTHXBYE\n");
+  for (const char* flags :
+       {"--barrier-radix abc", "--max-steps 12abc", "-np 0", "-np 5000",
+        "-np 2x", "--seed -1", "--seed 99999999999999999999",
+        "--heap-bytes 1e6", "--pes-per-thread ' 4'", "--shake +3",
+        "--perturb-seed x", "--opt-level 1.0"}) {
+    auto r = run_cmd(std::string(LOLRUN_BIN) + " " + flags + " " + path);
+    EXPECT_EQ(WEXITSTATUS(r.status), 2) << flags << ": " << r.output;
+    EXPECT_NE(r.output.find("bad "), std::string::npos)
+        << flags << ": " << r.output;
+  }
+  auto ok = run_cmd(std::string(LOLRUN_BIN) +
+                    " -np 2 --barrier-radix 4 --max-steps 100000 "
+                    "--seed 18446744073709551615 " + path);
+  EXPECT_EQ(ok.status, 0) << ok.output;
+}
+
 TEST(LolserveCli, ClientSpeaksTheWireProtocolToADaemon) {
   // Spawn a daemon on a unix socket, drive it entirely through
   // `lolserve --client` (ping, submit incl. a fiber job, bogus cancel,
@@ -406,6 +428,25 @@ TEST(LolserveCli, ShuffleIsSeededAndDeterministic) {
   std::sort(sorted_plain.begin(), sorted_plain.end());
   std::sort(sorted_shuf.begin(), sorted_shuf.end());
   EXPECT_EQ(sorted_shuf, sorted_plain);
+}
+
+TEST(LolserveCli, MalformedNumericFlagsAreUsageErrors) {
+  std::string path =
+      write_program("serve_strict", "HAI 1.2\nVISIBLE ME\nKTHXBYE\n");
+  for (const char* flags :
+       {"--workers 2x", "--workers 0", "--max-steps 12abc",
+        "--barrier-radix abc", "--queue -1", "--deadline-ms 1.5",
+        "--max-pes 0", "--repeat 3z", "-np 99999", "--shuffle-seed q",
+        "--opt-level 7", "--tenant-weights a=2x",
+        "--daemon --listen tcp:99999"}) {
+    auto r = run_cmd(std::string(LOLSERVE_BIN) + " --quiet " + flags + " " +
+                     path);
+    EXPECT_EQ(WEXITSTATUS(r.status), 2) << flags << ": " << r.output;
+  }
+  auto ok = run_cmd(std::string(LOLSERVE_BIN) +
+                    " --quiet --workers 1 --repeat 2 -np 2 --max-steps 1000 " +
+                    path);
+  EXPECT_EQ(ok.status, 0) << ok.output;
 }
 
 #endif  // LOLSERVE_BIN

@@ -386,10 +386,23 @@ TEST(Differential, EdgeCaseTable) {
       "err-array-oob",
       "I HAS A a ITZ LOTZ A NUMBRS AN THAR IZ 2\nVISIBLE a'Z 5\n"));
   specs.push_back(make("err-bad-cast", "VISIBLE SUM OF \"nope\" AN 1\n"));
+  // Unbounded recursion hits the VM's frame limit as a runtime error;
+  // native code counts its frames too instead of overflowing the PE's
+  // machine stack.
+  specs.push_back(make(
+      "runaway-recursion",
+      "HOW IZ I f YR n\n"
+      "  FOUND YR SUM OF 1 AN I IZ f YR n MKAY\n"
+      "IF U SAY SO\n"
+      "VISIBLE I IZ f YR 1 MKAY\n"));
 
   for (const Spec& spec : specs) {
     SCOPED_TRACE(spec.name);
     expect_agreement(spec);
+    if (spec.name.rfind("err-", 0) == 0 || spec.name == "runaway-recursion") {
+      EXPECT_EQ(lol::difftest::run_one(spec, lol::Backend::kInterp).outcome,
+                Outcome::kRuntimeError);
+    }
   }
 }
 

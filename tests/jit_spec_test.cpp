@@ -1,8 +1,10 @@
-// Type-specialized JIT tier tests: golden type-lattice plans (guard
+// Specialized JIT region tests: golden type-lattice plans (guard
 // placement, spill-at-materialization exits), deopt on a mid-loop
-// NUMBR -> YARN flip, step-budget exactness at region boundaries, and
-// record -> replay schedule-trace identity through the specialized
-// symmetric-array path.
+// NUMBR -> YARN flip, step-budget exactness at region boundaries, VM-exact
+// steps and barrier crossings on the unreduced paper programs, a region
+// exit that resumes in the VM across a recursive call, and record ->
+// replay schedule-trace identity through the specialized symmetric-array
+// path.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -11,6 +13,8 @@
 #include "codegen/jit_analysis.hpp"
 #include "codegen/jit_backend.hpp"
 #include "core/engine.hpp"
+#include "core/paper_programs.hpp"
+#include "driver/cli.hpp"
 #include "obs/metrics.hpp"
 #include "replay/trace.hpp"
 #include "vm/compiler.hpp"
@@ -40,6 +44,12 @@ RunResult run_backend(const lol::CompiledProgram& prog, Backend b,
   cfg.backend = b;
   cfg.max_steps = max_steps;
   return lol::run(prog, cfg);
+}
+
+lol::obs::Counter& spec_ops_counter() {
+  return lol::obs::Registry::global().counter(
+      "lol_jit_specialized_ops_total",
+      "Bytecode ops retired by the type-specialized JIT tier");
 }
 
 // ---- golden type-lattice plans ----------------------------------------
@@ -92,7 +102,6 @@ TEST(JitSpec, LatticePromotesMixedNumbrNumbarBinaries) {
   lol::RunConfig vm_cfg, jit_cfg;
   vm_cfg.backend = lol::Backend::kVm;
   jit_cfg.backend = lol::Backend::kJit;
-  jit_cfg.jit_spec = true;
   auto prog = lol::compile(
       "HAI 1.2\n"
       "I HAS A acc ITZ A NUMBAR AN ITZ 0.0\n"
@@ -140,13 +149,10 @@ TEST(JitSpec, EmitterCoversRegionsAndCountsSpecializedOps) {
   std::string err;
   auto jit = lol::codegen::JitProgram::get_or_build(chunk, &err);
   ASSERT_NE(jit, nullptr) << err;
-  if (!lol::codegen::jit_spec_enabled()) GTEST_SKIP() << "spec off";
   EXPECT_GT(jit->emit_info().regions, 0u);
   EXPECT_GT(jit->emit_info().spec_pcs, 0u);
 
-  auto& spec_ops = lol::obs::Registry::global().counter(
-      "lol_jit_specialized_ops_total",
-      "Bytecode ops retired by the type-specialized JIT tier");
+  auto& spec_ops = spec_ops_counter();
   std::uint64_t before = spec_ops.value();
   RunResult vm = run_backend(prog, Backend::kVm, 1);
   RunResult jr = run_backend(prog, Backend::kJit, 1);
@@ -156,11 +162,10 @@ TEST(JitSpec, EmitterCoversRegionsAndCountsSpecializedOps) {
       << "specialized tier reported coverage but retired no ops";
 }
 
-// ---- deopt: guard failure falls back to the generic tier --------------
+// ---- deopt: guard failure falls back to the VM -------------------------
 
 TEST(JitSpec, DeoptsOnNumbrToYarnFlipMidLoop) {
   if (!lol::codegen::jit_available()) GTEST_SKIP() << "jit unavailable";
-  if (!lol::codegen::jit_spec_enabled()) GTEST_SKIP() << "spec off";
   // x is NUMBR-hinted and read in the loop's hot region every
   // iteration; halfway through it flips to a YARN, so every later
   // guarded entry must fail, count a deopt, and resume generically
@@ -182,8 +187,8 @@ TEST(JitSpec, DeoptsOnNumbrToYarnFlipMidLoop) {
       "KTHXBYE\n");
   auto& deopts = lol::obs::Registry::global().counter(
       "lol_jit_deopts_total",
-      "Specialized-region guard failures (fell back to the generic "
-      "call-threaded tier)");
+      "Specialized-region guard failures (the VM ran the region's "
+      "first instruction instead)");
   std::uint64_t before = deopts.value();
   RunResult vm = run_backend(prog, Backend::kVm, 1);
   RunResult jr = run_backend(prog, Backend::kJit, 1);
@@ -226,6 +231,87 @@ TEST(JitSpec, StepBudgetIsExactAcrossRegionBoundaries) {
     EXPECT_TRUE(tight.step_limited)
         << lol::to_string(b) << " ran past a budget one below exact";
   }
+}
+
+// ---- VM-exact on unreduced programs -------------------------------------
+
+/// The JIT must retire exactly the VM's steps and barrier crossings on
+/// every PE, with a nonzero share of them in specialized regions.
+void expect_vm_exact(const lol::CompiledProgram& prog, int n_pes) {
+  RunResult vm = run_backend(prog, Backend::kVm, n_pes);
+  const std::uint64_t before = spec_ops_counter().value();
+  RunResult jit = run_backend(prog, Backend::kJit, n_pes);
+  ASSERT_TRUE(vm.ok) << vm.first_error();
+  ASSERT_TRUE(jit.ok) << jit.first_error();
+  EXPECT_EQ(vm.pe_output, jit.pe_output);
+  EXPECT_EQ(vm.pe_errout, jit.pe_errout);
+  ASSERT_EQ(vm.pe_profiles.size(), static_cast<std::size_t>(n_pes));
+  ASSERT_EQ(jit.pe_profiles.size(), static_cast<std::size_t>(n_pes));
+  for (int pe = 0; pe < n_pes; ++pe) {
+    EXPECT_EQ(vm.pe_profiles[pe].steps, jit.pe_profiles[pe].steps)
+        << "pe " << pe;
+    EXPECT_EQ(vm.pe_profiles[pe].barrier_crossings,
+              jit.pe_profiles[pe].barrier_crossings)
+        << "pe " << pe;
+  }
+  EXPECT_GT(spec_ops_counter().value(), before)
+      << "no op of the program ran in a specialized region";
+}
+
+TEST(JitSpec, PaperNbodyIsVmExact) {
+  if (!lol::codegen::jit_available()) GTEST_SKIP() << "jit unavailable";
+  expect_vm_exact(lol::compile(lol::paper::nbody_program(8, 3, true)), 2);
+}
+
+TEST(JitSpec, Heat1dExampleIsVmExact) {
+  if (!lol::codegen::jit_available()) GTEST_SKIP() << "jit unavailable";
+  auto src = lol::driver::read_file(LOL_EXAMPLES_DIR "/heat_1d.lol");
+  ASSERT_TRUE(src.has_value());
+  expect_vm_exact(lol::compile(*src), 2);
+}
+
+TEST(JitSpec, RegionExitIntoRecursiveCallResumesAcrossFrames) {
+  if (!lol::codegen::jit_available()) GTEST_SKIP() << "jit unavailable";
+  // The loop plus the argument arithmetic form one region in a
+  // recursive function; it ends at the CALL with two values live. The
+  // VM materializes them, pushes the callee frame, and re-enters the
+  // same region's code one frame deeper, twelve times.
+  lol::CompileOptions copts;
+  copts.opt_level = 0;
+  auto prog = lol::compile(
+      "HAI 1.2\n"
+      "I HAS A spec_call_salt ITZ \"frames\"\n"
+      "HOW IZ I countdown YR n\n"
+      "  I HAS A left ITZ A NUMBR AN ITZ MAEK n A NUMBR\n"
+      "  BOTH SAEM left AN 0, O RLY?\n"
+      "  YA RLY\n"
+      "    FOUND YR 0\n"
+      "  OIC\n"
+      "  VISIBLE \"down \" left\n"
+      "  I HAS A acc ITZ A NUMBR AN ITZ 0\n"
+      "  IM IN YR sum UPPIN YR i TIL BOTH SAEM i AN 4\n"
+      "    acc R SUM OF acc AN PRODUKT OF i AN left\n"
+      "  IM OUTTA YR sum\n"
+      "  FOUND YR SUM OF acc AN I IZ countdown YR DIFF OF left AN 1 MKAY\n"
+      "IF U SAY SO\n"
+      "VISIBLE I IZ countdown YR 12 MKAY\n"
+      "KTHXBYE\n",
+      copts);
+  lol::vm::Chunk chunk =
+      lol::vm::compile_program(prog.program, prog.analysis);
+  lol::codegen::SpecPlan plan = lol::codegen::analyze_chunk(chunk);
+  bool exits_into_call = false;
+  for (const lol::codegen::RegionPlan& r : plan.regions) {
+    const lol::codegen::SpecExit* e = r.exit_at(r.hi);
+    if (r.lo > chunk.funcs.at(0).entry && e != nullptr &&
+        chunk.code.at(e->target).op == lol::vm::Op::kCall &&
+        e->vstack.size() == 2) {
+      exits_into_call = true;
+    }
+  }
+  ASSERT_TRUE(exits_into_call)
+      << lol::codegen::describe_plan(chunk, plan);
+  expect_vm_exact(prog, 1);
 }
 
 // ---- record -> replay trace identity ----------------------------------

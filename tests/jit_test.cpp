@@ -263,16 +263,16 @@ TEST(Jit, CompileCacheRechargesJitCodeBytes) {
             charged + compiled.program->jit_code_bytes());
 }
 
-// The typed kBinary fast path inlines integer/double arithmetic when the
-// emitter proves both operands' types from SRSLY declarations. Parity
-// must hold not just on output but on step *accounting*: the prep
-// charges exactly the one step the generic helper would, so at every
-// budget the two backends agree on whether the run step-limits.
-TEST(Jit, TypedArithmeticFastPathMatchesVmStepsExactly) {
+// Typed arithmetic on SRSLY locals runs in a specialized region. Parity
+// must hold not just on output but on step *accounting*: the region's
+// batches plus the VM's charge for the region entry add up to exactly
+// the VM's steps, so at every budget the two backends agree on whether
+// the run step-limits.
+TEST(Jit, TypedArithmeticMatchesVmStepsExactly) {
   if (!lol::codegen::jit_available()) GTEST_SKIP() << "jit unavailable";
   const std::string src =
       "HAI 1.2\n"
-      "I HAS A salt ITZ \"binfast\"\n"
+      "I HAS A salt ITZ \"typed-arith\"\n"
       "I HAS A s ITZ SRSLY A NUMBR AN ITZ 1\n"
       "I HAS A f ITZ SRSLY A NUMBAR AN ITZ 1.5\n"
       "IM IN YR lp UPPIN YR i TIL BOTH SAEM i AN 20\n"

@@ -5,6 +5,7 @@
 //   lolrun --backend vm --machine epiphany3 --sim -np 16 nbody.lol
 #include <cstdio>
 #include <iostream>
+#include <limits>
 
 #if !defined(_WIN32)
 #include <unistd.h>
@@ -18,6 +19,7 @@
 #include "opt/tuner.hpp"
 #include "parse/parser.hpp"
 #include "rt/io.hpp"
+#include "shmem/runtime.hpp"
 #include "support/error.hpp"
 #include "vm/compiler.hpp"
 
@@ -29,7 +31,7 @@ int usage(const char* prog) {
       "usage: %s [options] <program.lol>\n"
       "  -np <N>            number of PEs (default 1, max 4096)\n"
       "  --backend <b>      vm (default), interp, native (host cc + dlopen),\n"
-      "                     or jit (direct x86-64; falls back to native)\n"
+      "                     or jit (x86-64 hot loops; falls back to the VM)\n"
       "  --executor <e>     thread (default), pool, or fiber — fiber\n"
       "                     multiplexes many virtual PEs per core, so -np\n"
       "                     can go far beyond the host's hardware threads\n"
@@ -83,13 +85,10 @@ int main(int argc, char** argv) {
   lol::driver::Cli cli(argc, argv);
   lol::RunConfig cfg;
   cfg.backend = lol::Backend::kVm;
-  cfg.n_pes = std::atoi(cli.option("-np", "--np").value_or("1").c_str());
-  if (auto seed = cli.option("--seed")) {
-    cfg.seed = std::strtoull(seed->c_str(), nullptr, 10);
-  }
-  if (auto steps = cli.option("--max-steps")) {
-    cfg.max_steps = std::strtoull(steps->c_str(), nullptr, 10);
-  }
+  cfg.n_pes = static_cast<int>(
+      cli.int_option("-np", 1, lol::shmem::kMaxPes, "--np").value_or(1));
+  cfg.seed = cli.uint_option("--seed").value_or(cfg.seed);
+  cfg.max_steps = cli.uint_option("--max-steps").value_or(0);
   if (auto backend = cli.option("--backend")) {
     if (auto b = lol::backend_from_name(*backend)) {
       cfg.backend = *b;
@@ -112,14 +111,12 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  auto ppt_flag = cli.option("--pes-per-thread");
-  if (ppt_flag) cfg.pes_per_thread = std::atoi(ppt_flag->c_str());
-  auto radix_flag = cli.option("--barrier-radix");
-  if (radix_flag) cfg.barrier_radix = std::atoi(radix_flag->c_str());
-  if (auto heap = cli.option("--heap-bytes")) {
-    cfg.heap_bytes = static_cast<std::size_t>(
-        std::strtoull(heap->c_str(), nullptr, 10));
-  }
+  auto ppt_flag = cli.int_option("--pes-per-thread", 0, lol::shmem::kMaxPes);
+  if (ppt_flag) cfg.pes_per_thread = static_cast<int>(*ppt_flag);
+  auto radix_flag = cli.int_option("--barrier-radix", 0, lol::shmem::kMaxPes);
+  if (radix_flag) cfg.barrier_radix = static_cast<int>(*radix_flag);
+  cfg.heap_bytes = static_cast<std::size_t>(
+      cli.uint_option("--heap-bytes").value_or(cfg.heap_bytes));
   bool want_sim = cli.has_flag("--sim");
   if (auto machine = cli.option("--machine")) {
     cfg.machine = lol::noc::by_name(*machine);
@@ -132,15 +129,13 @@ int main(int argc, char** argv) {
   // Record/replay + fault injection (src/replay/).
   std::optional<std::string> record_path = cli.option("--record");
   std::optional<std::string> replay_path = cli.option("--replay");
-  int shake = 0;
-  if (auto s = cli.option("--shake")) shake = std::atoi(s->c_str());
-  std::uint64_t shake_seed = 1;
-  if (auto s = cli.option("--shake-seed")) {
-    shake_seed = std::strtoull(s->c_str(), nullptr, 10);
-  }
-  if (auto seed = cli.option("--perturb-seed")) {
+  const int shake = static_cast<int>(
+      cli.int_option("--shake", 0, std::numeric_limits<int>::max())
+          .value_or(0));
+  const std::uint64_t shake_seed = cli.uint_option("--shake-seed").value_or(1);
+  if (auto seed = cli.uint_option("--perturb-seed")) {
     cfg.schedule = lol::replay::ScheduleMode::kPerturb;
-    cfg.perturb_seed = std::strtoull(seed->c_str(), nullptr, 10);
+    cfg.perturb_seed = *seed;
   } else if (record_path) {
     cfg.schedule = lol::replay::ScheduleMode::kRecord;
   }
@@ -181,14 +176,8 @@ int main(int argc, char** argv) {
   bool dump_ast = cli.has_flag("--dump-ast");
   bool dump_bc = cli.has_flag("--dump-bytecode");
   lol::CompileOptions copts;
-  if (auto lvl = cli.option("--opt-level")) {
-    if (lvl->size() != 1 || (*lvl)[0] < '0' || (*lvl)[0] > '2') {
-      std::fprintf(stderr, "lolrun: bad --opt-level '%s' (want 0, 1 or 2)\n",
-                   lvl->c_str());
-      return 2;
-    }
-    copts.opt_level = (*lvl)[0] - '0';
-  }
+  copts.opt_level = static_cast<int>(
+      cli.int_option("--opt-level", 0, 2).value_or(copts.opt_level));
   bool tune = cli.has_flag("--tune");
   auto tuner_cache_flag = cli.option("--tuner-cache");
   bool have_tuner_cache = tuner_cache_flag.has_value();

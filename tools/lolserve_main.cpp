@@ -21,10 +21,12 @@
 #include <cstdlib>
 #include <filesystem>
 #include <future>
+#include <limits>
 #include <mutex>
 #include <random>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -44,10 +46,13 @@
 #include "service/daemon.hpp"
 #include "service/service.hpp"
 #include "service/wire.hpp"
+#include "shmem/runtime.hpp"
 
 namespace fs = std::filesystem;
 
 namespace {
+
+constexpr std::int64_t kMaxInt = std::numeric_limits<int>::max();
 
 int usage(const char* prog) {
   std::fprintf(
@@ -184,9 +189,10 @@ bool parse_tenant_weights(const std::string& arg,
   while (std::getline(in, item, ',')) {
     auto eq = item.find('=');
     if (eq == std::string::npos || eq == 0) return false;
-    int w = std::atoi(item.c_str() + eq + 1);
-    if (w < 1) return false;
-    out[item.substr(0, eq)] = w;
+    auto w = lol::driver::parse_int(std::string_view(item).substr(eq + 1), 1,
+                                    std::numeric_limits<int>::max());
+    if (!w) return false;
+    out[item.substr(0, eq)] = static_cast<int>(*w);
   }
   return true;
 }
@@ -215,7 +221,13 @@ int client_connect(const std::string& addr) {
     sockaddr_in sa{};
     sa.sin_family = AF_INET;
     sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    sa.sin_port = htons(static_cast<std::uint16_t>(std::atoi(addr.c_str() + 4)));
+    auto port = lol::driver::parse_int(std::string_view(addr).substr(4), 0,
+                                       65535);
+    if (!port) {
+      std::fprintf(stderr, "lolserve: bad port in '%s'\n", addr.c_str());
+      return -1;
+    }
+    sa.sin_port = htons(static_cast<std::uint16_t>(*port));
     fd = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd >= 0 &&
         ::connect(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) < 0) {
@@ -458,7 +470,14 @@ int run_daemon(lol::service::ServiceOptions opts, const std::string& listen,
   if (listen.rfind("unix:", 0) == 0) {
     dopts.unix_path = listen.substr(5);
   } else if (listen.rfind("tcp:", 0) == 0) {
-    dopts.tcp_port = std::atoi(listen.c_str() + 4);
+    auto port =
+        lol::driver::parse_int(std::string_view(listen).substr(4), 0, 65535);
+    if (!port) {
+      std::fprintf(stderr, "lolserve: bad port in --listen '%s'\n",
+                   listen.c_str());
+      return 2;
+    }
+    dopts.tcp_port = static_cast<int>(*port);
   } else {
     std::fprintf(stderr,
                  "lolserve: --listen wants unix:PATH or tcp:PORT, got '%s'\n",
@@ -539,9 +558,10 @@ int main(int argc, char** argv) {
   lol::driver::Cli cli(argc, argv);
 
   lol::service::ServiceOptions opts;
-  opts.workers = std::atoi(cli.option("--workers").value_or("4").c_str());
-  opts.queue_capacity = static_cast<std::size_t>(std::strtoull(
-      cli.option("--queue").value_or("256").c_str(), nullptr, 10));
+  opts.workers = static_cast<int>(
+      cli.int_option("--workers", 1, kMaxInt).value_or(4));
+  opts.queue_capacity = static_cast<std::size_t>(
+      cli.uint_option("--queue").value_or(256));
   if (auto policy = cli.option("--policy")) {
     if (*policy == "reject") {
       opts.queue_full = lol::service::QueueFullPolicy::kReject;
@@ -551,12 +571,10 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (auto steps = cli.option("--max-steps")) {
-    opts.default_max_steps = std::strtoull(steps->c_str(), nullptr, 10);
-  }
-  if (auto deadline = cli.option("--deadline-ms")) {
-    opts.default_deadline_ms = std::strtoull(deadline->c_str(), nullptr, 10);
-  }
+  opts.default_max_steps =
+      cli.uint_option("--max-steps").value_or(opts.default_max_steps);
+  opts.default_deadline_ms =
+      cli.uint_option("--deadline-ms").value_or(opts.default_deadline_ms);
   if (auto weights = cli.option("--tenant-weights")) {
     if (!parse_tenant_weights(*weights, opts.tenant_weights)) {
       std::fprintf(stderr,
@@ -565,31 +583,20 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (auto max_pes = cli.option("--max-pes")) {
-    opts.max_pes = std::atoi(max_pes->c_str());
-    if (opts.max_pes < 1) return usage(argv[0]);
-  }
-  if (auto quota = cli.option("--max-queued-per-tenant")) {
-    opts.max_queued_per_tenant = static_cast<std::size_t>(
-        std::strtoull(quota->c_str(), nullptr, 10));
-  }
+  opts.max_pes = static_cast<int>(
+      cli.int_option("--max-pes", 1, lol::shmem::kMaxPes)
+          .value_or(opts.max_pes));
+  opts.max_queued_per_tenant = static_cast<std::size_t>(
+      cli.uint_option("--max-queued-per-tenant")
+          .value_or(opts.max_queued_per_tenant));
   opts.tuner_cache_path = cli.option("--tuner-cache").value_or("");
-  int opt_level = 2;
-  if (auto lvl = cli.option("--opt-level")) {
-    if (lvl->size() != 1 || (*lvl)[0] < '0' || (*lvl)[0] > '2') {
-      std::fprintf(stderr,
-                   "lolserve: bad --opt-level '%s' (want 0, 1 or 2)\n",
-                   lvl->c_str());
-      return 2;
-    }
-    opt_level = (*lvl)[0] - '0';
-  }
-  if (opts.workers < 1) return usage(argv[0]);
+  const int opt_level =
+      static_cast<int>(cli.int_option("--opt-level", 0, 2).value_or(2));
 
   if (cli.has_flag("--daemon")) {
     std::string listen = cli.option("--listen").value_or("tcp:4004");
-    int metrics_interval = std::atoi(
-        cli.option("--metrics-interval").value_or("0").c_str());
+    const int metrics_interval = static_cast<int>(
+        cli.int_option("--metrics-interval", 0, kMaxInt).value_or(0));
     std::string metrics_out = cli.option("--metrics-out").value_or("");
     return run_daemon(std::move(opts), listen, metrics_interval,
                       metrics_out);
@@ -617,12 +624,11 @@ int main(int argc, char** argv) {
       client_action.kind = ClientAction::kMetrics;
     } else if (cli.has_flag("--shutdown")) {
       client_action.kind = ClientAction::kShutdown;
-    } else if (auto id = cli.option("--cancel")) {
+    } else if (auto id = cli.uint_option("--cancel")) {
       client_action.kind = ClientAction::kCancel;
-      client_action.cancel_id = std::strtoull(id->c_str(), nullptr, 10);
-    } else if (auto after = cli.option("--cancel-after-ms")) {
-      client_action.cancel_after_ms =
-          std::strtoull(after->c_str(), nullptr, 10);
+      client_action.cancel_id = *id;
+    } else if (auto after = cli.uint_option("--cancel-after-ms")) {
+      client_action.cancel_after_ms = *after;
     }
     if (client_action.kind != ClientAction::kSubmit) {
       return run_client(connect_addr, client_action, {});
@@ -630,7 +636,8 @@ int main(int argc, char** argv) {
   }
 #endif
 
-  int default_pes = std::atoi(cli.option("-np", "--np").value_or("1").c_str());
+  const int default_pes = static_cast<int>(
+      cli.int_option("-np", 1, lol::shmem::kMaxPes, "--np").value_or(1));
   std::string default_tenant = cli.option("--tenant").value_or("");
   lol::Backend backend = lol::Backend::kVm;
   if (auto name = cli.option("--backend")) {
@@ -650,24 +657,25 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  int pes_per_thread =
-      std::atoi(cli.option("--pes-per-thread").value_or("0").c_str());
-  int barrier_radix =
-      std::atoi(cli.option("--barrier-radix").value_or("0").c_str());
-  int repeat = std::atoi(cli.option("--repeat").value_or("1").c_str());
+  const int pes_per_thread = static_cast<int>(
+      cli.int_option("--pes-per-thread", 0, lol::shmem::kMaxPes).value_or(0));
+  const int barrier_radix = static_cast<int>(
+      cli.int_option("--barrier-radix", 0, lol::shmem::kMaxPes).value_or(0));
+  const int repeat =
+      static_cast<int>(cli.int_option("--repeat", 0, kMaxInt).value_or(1));
   bool quiet = cli.has_flag("--quiet");
   bool shuffle = cli.has_flag("--shuffle");
-  std::uint64_t shuffle_seed = std::strtoull(
-      cli.option("--shuffle-seed").value_or("20170529").c_str(), nullptr, 10);
+  const std::uint64_t shuffle_seed =
+      cli.uint_option("--shuffle-seed").value_or(20170529);
 
   // Record/replay + fault injection, applied to every job in the batch.
   std::string record_path = cli.option("--record").value_or("");
   auto schedule = lol::replay::ScheduleMode::kNone;
   std::uint64_t perturb_seed = 0;
   std::string replay_trace_text;
-  if (auto seed = cli.option("--perturb-seed")) {
+  if (auto seed = cli.uint_option("--perturb-seed")) {
     schedule = lol::replay::ScheduleMode::kPerturb;
-    perturb_seed = std::strtoull(seed->c_str(), nullptr, 10);
+    perturb_seed = *seed;
   } else if (!record_path.empty()) {
     schedule = lol::replay::ScheduleMode::kRecord;
   }
