@@ -263,6 +263,9 @@ RunResult run(const CompiledProgram& prog, const RunConfig& cfg) {
   std::atomic<bool> step_limited{false};
   std::atomic<bool> pe_failed{false};
   AbortToken::Binding abort_binding(cfg.abort, runtime);
+  const double setup_ms = std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - t_run0)
+                              .count();
   shmem::LaunchResult lr;
   try {
     lr = runtime.launch([&](shmem::Pe& pe) {
@@ -374,14 +377,8 @@ RunResult run(const CompiledProgram& prog, const RunConfig& cfg) {
       }
     }
   }
-  // Everything before the first PE body — native/vm memo lookups,
-  // runtime construction, executor claim — counts as the claim phase.
-  result.claim_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - t_run0)
-          .count() -
-      lr.exec_ms;
-  if (result.claim_ms < 0.0) result.claim_ms = 0.0;
+  result.setup_ms = setup_ms;
+  result.claim_ms = lr.claim_ms;
   result.exec_ms = lr.exec_ms;
   if (cfg.sink == nullptr) {
     result.pe_output = capture.take_out();

@@ -195,9 +195,12 @@ struct RunResult {
   /// Per-PE runtime profiles (steps, barrier/lock events, GIMMEH
   /// blocks; *_wait_ns populated only when RunConfig::profile was set).
   std::vector<obs::PeProfile> pe_profiles;
-  /// Lifecycle timing for job traces: run() entry until the first PE
-  /// body started (native/vm memo, runtime build, executor claim), and
-  /// from then until the gang joined.
+  /// Lifecycle timing for job traces, three disjoint measured spans:
+  /// setup is run() entry until launch (native/vm/jit memo lookups,
+  /// runtime construction), claim is launch entry until the first PE
+  /// body started (per-launch reset, executor claim), exec is from
+  /// then until the gang joined.
+  double setup_ms = 0.0;
   double claim_ms = 0.0;
   double exec_ms = 0.0;
   /// Serialized schedule trace (replay::Trace::serialize) when the run

@@ -536,7 +536,8 @@ Value Interpreter::call_function(const std::string& name,
                            " argument(s), got " + std::to_string(args.size()),
                        loc);
   }
-  if (++call_depth_ > kMaxCallDepth) {
+  // Main's frame counts toward the limit, as in the VM and native code.
+  if (++call_depth_ >= kMaxCallDepth) {
     --call_depth_;
     throw RuntimeError("call depth exceeded (" +
                            std::to_string(kMaxCallDepth) +

@@ -21,6 +21,23 @@ class Interpreter {
   /// on semantic errors at run time.
   void run();
 
+  /// Call frames allowed, main's included (the VM and native code allow
+  /// 2000). The tree-walking interpreter recurses on the host stack, so
+  /// the guard must leave headroom below the real stack size. Sanitizer
+  /// instrumentation grows frames several-fold; shrink accordingly so
+  /// runaway recursion still dies with a clean diagnostic, not SIGSEGV.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  static constexpr int kMaxCallDepth = 250;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+  static constexpr int kMaxCallDepth = 250;
+#else
+  static constexpr int kMaxCallDepth = 2000;
+#endif
+#else
+  static constexpr int kMaxCallDepth = 2000;
+#endif
+
  private:
   enum class Flow { kNormal, kBreak, kReturn };
 
@@ -75,22 +92,6 @@ class Interpreter {
   std::vector<int> bff_stack_;
   int call_depth_ = 0;
   rt::Value return_value_;
-
-  // The tree-walking interpreter recurses on the host stack, so the
-  // guard must leave headroom below the real stack size. Sanitizer
-  // instrumentation grows frames several-fold; shrink accordingly so
-  // runaway recursion still dies with a clean diagnostic, not SIGSEGV.
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-  static constexpr int kMaxCallDepth = 250;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-  static constexpr int kMaxCallDepth = 250;
-#else
-  static constexpr int kMaxCallDepth = 2000;
-#endif
-#else
-  static constexpr int kMaxCallDepth = 2000;
-#endif
 };
 
 /// Convenience: run `program` for one PE (used by the SPMD launcher).

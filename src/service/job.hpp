@@ -114,8 +114,9 @@ enum class JobStatus {
 
 /// One phase of a job's lifecycle, timestamped relative to submission.
 /// The service emits spans in order: queued → compile (or
-/// compile[cached]) → claim (runtime build + executor claim, up to the
-/// first PE starting) → run (first PE start to gang join) → drain
+/// compile[cached]) → setup (memo lookups + runtime build, up to
+/// launch) → claim (per-launch reset + executor claim, up to the first
+/// PE starting) → run (first PE start to gang join) → drain
 /// (result/output collection). Refused jobs carry only `queued`.
 struct TraceSpan {
   std::string name;

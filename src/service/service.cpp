@@ -453,7 +453,9 @@ JobResult Service::execute(Pending& p, Inflight& inflight, double queue_ms) {
     // program; fold those bytes into the compile cache's byte budget.
     cache_.recharge(job.source, copts);
   }
-  const double claim_start = queue_ms + compile_ms;
+  const double setup_start = queue_ms + compile_ms;
+  const double claim_start = setup_start + run.setup_ms;
+  r.trace.push_back({"setup", setup_start, run.setup_ms});
   r.trace.push_back({"claim", claim_start, run.claim_ms});
   r.trace.push_back({"run", claim_start + run.claim_ms, run.exec_ms});
   r.pe_output = std::move(run.pe_output);
@@ -487,7 +489,7 @@ JobResult Service::execute(Pending& p, Inflight& inflight, double queue_ms) {
   // Whatever execute() spent past the gang join — output moves, status
   // classification — is the drain phase.
   double drain_ms =
-      r.run_ms - compile_ms - run.claim_ms - run.exec_ms;
+      r.run_ms - compile_ms - run.setup_ms - run.claim_ms - run.exec_ms;
   if (drain_ms < 0.0) drain_ms = 0.0;
   r.trace.push_back({"drain", queue_ms + r.run_ms - drain_ms, drain_ms});
   return r;

@@ -1,8 +1,12 @@
 #include "shmem/runtime.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <thread>
 
 #include "obs/metrics.hpp"
@@ -346,15 +350,38 @@ Runtime::Runtime(Config cfg) : cfg_(std::move(cfg)) {
     throw RuntimeError("n_pes must be in [1, " + std::to_string(kMaxPes) +
                        "], got " + std::to_string(cfg_.n_pes));
   }
-  if (cfg_.heap_bytes % kAlign != 0) {
-    cfg_.heap_bytes = (cfg_.heap_bytes + kAlign - 1) & ~(kAlign - 1);
+  const std::size_t n = static_cast<std::size_t>(cfg_.n_pes);
+  const std::size_t requested = cfg_.heap_bytes;
+  auto heap_desc = [&] {
+    return "symmetric heap of " + std::to_string(requested) +
+           " bytes per PE x " + std::to_string(n) + " PEs";
+  };
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  const bool rounding_wraps = cfg_.heap_bytes > kMax - (kAlign - 1);
+  cfg_.heap_bytes = (cfg_.heap_bytes + kAlign - 1) & ~(kAlign - 1);
+  if (rounding_wraps || cfg_.heap_bytes > kMax / n) {
+    throw RuntimeError(heap_desc() + " overflows the address space");
   }
-  arenas_.resize(static_cast<std::size_t>(cfg_.n_pes));
-  for (auto& a : arenas_) a.resize(cfg_.heap_bytes);
-  scratch_i64_.resize(static_cast<std::size_t>(cfg_.n_pes));
-  scratch_f64_.resize(static_cast<std::size_t>(cfg_.n_pes));
+  scratch_i64_.resize(n);
+  scratch_f64_.resize(n);
   for (int i = 0; i < cfg_.n_locks; ++i) locks_.emplace_back();
   build_tree();
+  // Mapped last, so no later throw can leak it. The kernel hands out
+  // zero pages on first touch: a PE pays only for the heap it uses.
+  heap_map_bytes_ = cfg_.heap_bytes * n;
+  if (heap_map_bytes_ != 0) {
+    void* base = ::mmap(nullptr, heap_map_bytes_, PROT_READ | PROT_WRITE,
+                        MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (base == MAP_FAILED) {
+      throw RuntimeError("cannot map a " + heap_desc() + ": " +
+                         std::strerror(errno));
+    }
+    heap_ = static_cast<std::byte*>(base);
+  }
+}
+
+Runtime::~Runtime() {
+  if (heap_ != nullptr) ::munmap(heap_, heap_map_bytes_);
 }
 
 void Runtime::build_tree() {
@@ -393,10 +420,6 @@ int Runtime::child_count(int level, int node_i) const {
   return std::min(children, lo + radix_) - lo;
 }
 
-std::byte* Runtime::arena(int pe) {
-  return arenas_[static_cast<std::size_t>(pe)].data();
-}
-
 void Runtime::abort() {
   abort_.store(true, std::memory_order_release);
   // Wake everything parked in this runtime's eventcount (barrier
@@ -423,7 +446,11 @@ void Runtime::reset_for_launch() {
   for (int i = 0; i < cfg_.n_pes; ++i) pe_ns_[static_cast<std::size_t>(i)].ns = 0.0;
   // Owners are reset so a previous aborted launch cannot leave one held.
   for (auto& lock : locks_) lock.owner.store(-1, std::memory_order_relaxed);
-  for (auto& a : arenas_) std::fill(a.begin(), a.end(), std::byte{0});
+  // The first launch finds the heap as mmap left it, all zero pages;
+  // only a relaunch has to clear it.
+  if (launch_counter_ > 0 && heap_ != nullptr) {
+    std::memset(heap_, 0, heap_map_bytes_);
+  }
   std::fill(scratch_i64_.begin(), scratch_i64_.end(), 0);
   std::fill(scratch_f64_.begin(), scratch_f64_.end(), 0.0);
   ++launch_counter_;
@@ -611,6 +638,7 @@ std::uint64_t Runtime::cross(Pe& pe, CollOp op) {
 }
 
 LaunchResult Runtime::launch(const std::function<void(Pe&)>& fn) {
+  const auto t_launch = std::chrono::steady_clock::now();
   reset_for_launch();
   const int n = cfg_.n_pes;
   std::vector<Pe> pes(static_cast<std::size_t>(n));
@@ -630,7 +658,6 @@ LaunchResult Runtime::launch(const std::function<void(Pe&)>& fn) {
   // gang joins, so the plain time_point is race-free).
   std::atomic<bool> first_started{false};
   std::chrono::steady_clock::time_point t_first{};
-  const auto t_launch = std::chrono::steady_clock::now();
 
   auto body = [&](int i) {
     if (!first_started.exchange(true, std::memory_order_relaxed)) {

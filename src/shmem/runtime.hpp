@@ -6,9 +6,12 @@
 // backend needs, in-process:
 //
 //   * N processing elements (PEs) running the same function (SPMD), each
-//     with a private *symmetric heap* arena. How PEs map onto OS threads
-//     is a PeExecutor strategy (shmem/executor.hpp): thread-per-PE, a
-//     persistent pool, or fibers multiplexing many virtual PEs per core
+//     with a private *symmetric heap* arena. The arenas are slices of one
+//     anonymous POSIX mapping, so heap pages cost memory only once
+//     touched.
+//     How PEs map onto OS threads is a PeExecutor strategy
+//     (shmem/executor.hpp): thread-per-PE, a persistent pool, or fibers
+//     multiplexing many virtual PEs per core
 //   * collective, deterministic symmetric allocation: every PE performs
 //     the same shmalloc sequence, so an object has the same offset on
 //     every PE — exactly the property OpenSHMEM symmetric objects have —
@@ -54,7 +57,9 @@ inline constexpr int kMaxPes = 4096;
 /// Runtime configuration.
 struct Config {
   int n_pes = 1;
-  std::size_t heap_bytes = 1 << 20;  // symmetric heap per PE
+  /// Symmetric heap bound per PE (rounded up to 8 bytes). Reserved, not
+  /// committed: a page of an arena costs memory only once a PE touches it.
+  std::size_t heap_bytes = 1 << 20;
   int n_locks = 0;                   // global locks (IM SHARIN IT)
   noc::ModelPtr model;               // null => no simulated-time accounting
   ExecutorPtr executor;              // null => builtin thread-per-PE
@@ -192,7 +197,8 @@ struct LaunchResult {
   /// Config::profile was set).
   std::vector<obs::PeProfile> profiles;
   /// Milliseconds from launch() entry until the first PE body started
-  /// (executor claim + gang setup), and from then until the gang joined.
+  /// (per-launch reset + executor claim), and from then until the gang
+  /// joined.
   double claim_ms = 0.0;
   double exec_ms = 0.0;
 
@@ -214,7 +220,12 @@ struct LaunchResult {
 /// state is reset at the start of each launch.
 class Runtime {
  public:
+  /// Throws RuntimeError for an out-of-range n_pes and for a heap that
+  /// overflows size_t or cannot be mapped.
   explicit Runtime(Config cfg);
+  ~Runtime();
+  Runtime(const Runtime&) = delete;
+  Runtime& operator=(const Runtime&) = delete;
 
   /// Runs `fn` on n_pes PEs (SPMD) via the configured executor —
   /// thread-per-PE by default, a persistent pool or fiber carriers when
@@ -287,9 +298,10 @@ class Runtime {
     if (cfg_.schedule != nullptr) cfg_.schedule->yield(*this, pe);
   }
 
-  /// Direct arena access (tests and the Figure-1 bench use this to verify
-  /// symmetric layout).
-  [[nodiscard]] std::byte* arena(int pe);
+  /// PE `pe`'s arena: heap_bytes() bytes of the shared mapping.
+  [[nodiscard]] std::byte* arena(int pe) {
+    return heap_ + static_cast<std::size_t>(pe) * cfg_.heap_bytes;
+  }
 
   /// Requests cooperative abort: wakes barrier waiters and lock spinners.
   void abort();
@@ -352,7 +364,10 @@ class Runtime {
   void fire_root(std::uint64_t my_gen, CollOp op);
 
   Config cfg_;
-  std::vector<std::vector<std::byte>> arenas_;
+  // Every PE's arena in one anonymous private mapping (null when the heap
+  // is empty). Fresh pages read as zero, so only relaunches re-zero.
+  std::byte* heap_ = nullptr;
+  std::size_t heap_map_bytes_ = 0;
 
   int radix_ = 0;                    // resolved fan-in (>= 2)
   std::vector<int> level_width_;     // nodes per level; level 0 = leaves

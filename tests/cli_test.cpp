@@ -197,6 +197,7 @@ TEST(LolrunCli, ProfileFlagPrintsPerPeTable) {
   EXPECT_EQ(r.status, 0) << r.output;
   EXPECT_NE(r.output.find("[profile]"), std::string::npos) << r.output;
   EXPECT_NE(r.output.find("steps"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("[profile] setup="), std::string::npos) << r.output;
   // One table row per PE.
   int rows = 0;
   std::istringstream lines(r.output);
@@ -251,6 +252,33 @@ TEST(LolrunCli, StepLimitUsesDistinctExitStatus) {
   auto r = run_cmd(std::string(LOLRUN_BIN) + " --max-steps 10000 " + path);
   ASSERT_TRUE(WIFEXITED(r.status));
   EXPECT_EQ(WEXITSTATUS(r.status), 3) << r.output;
+}
+
+// Heap sizes that overflow the layout or cannot be mapped are ordinary
+// runtime failures (exit 1 with a diagnostic naming the size), never a
+// wrapped-around heap or an uncaught allocator exception (exit 134).
+TEST(LolrunCli, HostileHeapSizesExitWithADiagnostic) {
+  std::string path = write_program(
+      "heapsize",
+      "HAI 1.2\nWE HAS A x ITZ SRSLY A NUMBR\nVISIBLE ME\nKTHXBYE\n");
+  std::string overcommit;
+  if (auto mode = lol::driver::read_file("/proc/sys/vm/overcommit_memory")) {
+    overcommit = *mode;
+  }
+  for (const std::string bytes :
+       {"18446744073709551615", "18446744073709551600", "1099511627776"}) {
+    if (bytes == "1099511627776" && overcommit.rfind('1', 0) == 0) {
+      continue;  // this kernel maps 2 TiB of untouched memory on request
+    }
+    auto r = run_cmd(std::string(LOLRUN_BIN) + " -np 2 --heap-bytes " + bytes +
+                     " " + path);
+    ASSERT_TRUE(WIFEXITED(r.status)) << bytes << ": " << r.output;
+    EXPECT_EQ(WEXITSTATUS(r.status), 1) << bytes << ": " << r.output;
+    EXPECT_NE(r.output.find("symmetric heap of " + bytes +
+                            " bytes per PE x 2 PEs"),
+              std::string::npos)
+        << bytes << ": " << r.output;
+  }
 }
 
 #ifdef LOLSERVE_BIN

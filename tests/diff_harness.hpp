@@ -66,8 +66,7 @@ struct Spec {
   /// run the whole suite under a non-default radix and prove outputs
   /// are radix-invariant.
   int barrier_radix = 0;
-  /// Symmetric heap per PE; high-PE specs shrink it so a 512-PE case
-  /// does not allocate half a gigabyte of arenas.
+  /// Symmetric heap limit per PE (reserved, not committed).
   std::size_t heap_bytes = 1 << 20;
   /// Optimizing middle-end level: -1 (the default) resolves to the
   /// LOL_OPT_LEVEL environment variable, else 2 — CI uses the variable

@@ -19,6 +19,7 @@
 
 #include "core/paper_programs.hpp"
 #include "diff_harness.hpp"
+#include "interp/interpreter.hpp"
 #include "replay/trace.hpp"
 
 #ifndef LOL_EXAMPLES_DIR
@@ -403,6 +404,44 @@ TEST(Differential, EdgeCaseTable) {
       EXPECT_EQ(lol::difftest::run_one(spec, lol::Backend::kInterp).outcome,
                 Outcome::kRuntimeError);
     }
+  }
+}
+
+// The call-depth limit is 2000 frames on every backend, main's frame
+// included: 1999 nested calls run, the 2000th is a runtime error.
+TEST(Differential, CallDepthLimitAgreesAcrossBackends) {
+  if (lol::interp::Interpreter::kMaxCallDepth != 2000) {
+    GTEST_SKIP() << "the interpreter caps recursion at "
+                 << lol::interp::Interpreter::kMaxCallDepth
+                 << " under ASan/TSan";
+  }
+  // depth(n) nests n + 1 calls below main.
+  auto depth = [](int n) {
+    return make("call-depth-" + std::to_string(n),
+                "HOW IZ I depth YR n\n"
+                "  BOTH SAEM n AN 0, O RLY?\n"
+                "  YA RLY\n    FOUND YR 0\n"
+                "  OIC\n"
+                "  FOUND YR SUM OF 1 AN I IZ depth YR DIFF OF n AN 1 MKAY\n"
+                "IF U SAY SO\n"
+                "VISIBLE I IZ depth YR " + std::to_string(n) + " MKAY\n");
+  };
+  const Spec deepest = depth(1998);
+  {
+    SCOPED_TRACE(deepest.name);
+    expect_agreement(deepest);
+    auto r = lol::difftest::run_one(deepest, lol::Backend::kInterp);
+    EXPECT_EQ(r.outcome, Outcome::kOk) << r.error;
+    EXPECT_EQ(r.pe_output, std::vector<std::string>{"1998\n"});
+  }
+  const Spec too_deep = depth(1999);
+  {
+    SCOPED_TRACE(too_deep.name);
+    expect_agreement(too_deep);
+    auto r = lol::difftest::run_one(too_deep, lol::Backend::kInterp);
+    EXPECT_EQ(r.outcome, Outcome::kRuntimeError);
+    EXPECT_NE(r.error.find("call depth exceeded (2000)"), std::string::npos)
+        << r.error;
   }
 }
 

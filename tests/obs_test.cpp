@@ -145,6 +145,7 @@ TEST(ObsProfile, EngineReturnsPerPeProfiles) {
     EXPECT_EQ(p.barrier_crossings, r.pe_profiles[0].barrier_crossings);
     EXPECT_EQ(p.steps, r.pe_profiles[0].steps);  // uniform program
   }
+  EXPECT_GT(r.setup_ms, 0.0);
   EXPECT_GE(r.claim_ms, 0.0);
   EXPECT_GE(r.exec_ms, 0.0);
 }
@@ -224,15 +225,19 @@ TEST(ObsTrace, CompletedJobCarriesOrderedSpans) {
   std::vector<std::string> names;
   names.reserve(r.trace.size());
   for (const auto& sp : r.trace) names.push_back(sp.name);
-  ASSERT_EQ(names.size(), 5u);
+  ASSERT_EQ(names.size(), 6u);
   EXPECT_EQ(names[0], "queued");
   EXPECT_EQ(names[1], "compile");  // first submission: not cached
-  EXPECT_EQ(names[2], "claim");
-  EXPECT_EQ(names[3], "run");
-  EXPECT_EQ(names[4], "drain");
-  // Spans are contiguous offsets from submission.
+  EXPECT_EQ(names[2], "setup");
+  EXPECT_EQ(names[3], "claim");
+  EXPECT_EQ(names[4], "run");
+  EXPECT_EQ(names[5], "drain");
+  // Spans are ordered, disjoint offsets from submission.
   for (std::size_t i = 1; i < r.trace.size(); ++i) {
     EXPECT_GE(r.trace[i].start_ms, r.trace[i - 1].start_ms - 1e-9);
+    EXPECT_GE(r.trace[i].start_ms,
+              r.trace[i - 1].start_ms + r.trace[i - 1].dur_ms - 1e-9)
+        << r.trace[i].name << " overlaps " << r.trace[i - 1].name;
   }
   for (const auto& sp : r.trace) EXPECT_GE(sp.dur_ms, 0.0);
 

@@ -3,10 +3,16 @@
 // simulated-time accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <fstream>
+#include <limits>
+#include <optional>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "noc/machines.hpp"
 #include "noc/uniform.hpp"
@@ -65,8 +71,9 @@ TEST(Shmem, HeapExhaustionThrows) {
     pe.shmalloc(64);  // 32 + 64 > 64
   });
   EXPECT_FALSE(r.ok);
-  EXPECT_NE(r.first_error().find("symmetric heap exhausted"),
-            std::string::npos);
+  EXPECT_EQ(r.first_error(),
+            "PE 0: symmetric heap exhausted: need 64 more bytes, 32 "
+            "available (configure a larger heap)");
 }
 
 TEST(Shmem, PutGetRoundTrip) {
@@ -146,8 +153,9 @@ TEST(Shmem, OutOfHeapAccessThrows) {
   Runtime rt(cfg);
   auto r = rt.launch([&](Pe& pe) { pe.put_i64(0, 1024, 1); });
   EXPECT_FALSE(r.ok);
-  EXPECT_NE(r.first_error().find("exceeds the symmetric heap"),
-            std::string::npos);
+  EXPECT_EQ(r.first_error(),
+            "PE 0: symmetric access [1024, 1032) exceeds the symmetric heap "
+            "(64 bytes)");
 }
 
 TEST(Shmem, BarrierOrdersPhases) {
@@ -371,6 +379,94 @@ TEST(Shmem, RejectsBadConfig) {
   EXPECT_THROW(Runtime{cfg}, RuntimeError);
   cfg.n_pes = 5000;
   EXPECT_THROW(Runtime{cfg}, RuntimeError);
+  // A heap that cannot be laid out is an error naming its size, not a
+  // wrapped-around tiny heap or an uncaught allocator exception.
+  cfg.n_pes = 2;
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  for (std::size_t bytes : {kMax, kMax - 15}) {  // rounding wraps, x 2 wraps
+    try {
+      cfg.heap_bytes = bytes;
+      Runtime rt(cfg);
+      ADD_FAILURE() << "a " << bytes << "-byte heap was accepted";
+    } catch (const RuntimeError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::to_string(bytes) +
+                                           " bytes per PE x 2 PEs"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// A relaunch must hand every PE all-zero arenas again, whatever the
+// previous launch wrote into them remotely — on real threads and on
+// fibers alike.
+void expect_relaunch_reads_zero(lol::shmem::ExecutorPtr executor) {
+  Config cfg;
+  cfg.n_pes = 4;
+  cfg.heap_bytes = 64 << 10;  // several pages per arena
+  cfg.executor = std::move(executor);
+  Runtime rt(cfg);
+  const std::size_t bytes = rt.heap_bytes();
+  auto dirty = rt.launch([&](Pe& pe) {
+    std::vector<std::byte> pattern(bytes, std::byte{0xA5});
+    pe.put((pe.id() + 1) % pe.n_pes(), 0, pattern.data(), bytes);
+  });
+  ASSERT_TRUE(dirty.ok) << dirty.first_error();
+  ASSERT_EQ(rt.arena(0)[bytes - 1], std::byte{0xA5});
+  for (int launch = 0; launch < 2; ++launch) {
+    std::atomic<std::size_t> nonzero{0};
+    auto clean = rt.launch([&](Pe& pe) {
+      std::vector<std::byte> got(bytes, std::byte{0xFF});
+      pe.get(got.data(), pe.id(), 0, bytes);
+      nonzero += static_cast<std::size_t>(
+          std::count_if(got.begin(), got.end(),
+                        [](std::byte b) { return b != std::byte{0}; }));
+      // Dirty the next launch's arenas again, once every PE has read.
+      pe.barrier_all();
+      pe.put_i64((pe.id() + 1) % pe.n_pes(), bytes - 8, -1);
+    });
+    ASSERT_TRUE(clean.ok) << clean.first_error();
+    EXPECT_EQ(nonzero.load(), 0u) << "launch " << launch;
+  }
+}
+
+TEST(Shmem, RelaunchReadsZeroedArenasThreads) {
+  expect_relaunch_reads_zero(nullptr);  // builtin thread-per-PE
+}
+
+TEST(Shmem, RelaunchReadsZeroedArenasFibers) {
+  if (!lol::shmem::fiber_executor_available()) GTEST_SKIP() << "no fibers";
+  expect_relaunch_reads_zero(
+      lol::shmem::make_executor(lol::shmem::ExecutorKind::kFiber, 2));
+}
+
+/// Resident set size in KiB from /proc/self/status; nullopt off Linux.
+std::optional<long> vm_rss_kib() {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind("VmRSS:", 0) == 0) return std::stol(line.substr(6));
+  }
+  return std::nullopt;
+}
+
+// heap_bytes is a bound, not a preallocation: 8 PEs x 64 MiB of heap
+// where each PE touches one word must not make half a gigabyte resident.
+TEST(Shmem, UntouchedHeapIsNotResident) {
+  const std::optional<long> before = vm_rss_kib();
+  if (!before) GTEST_SKIP() << "no /proc/self/status";
+  Config cfg;
+  cfg.n_pes = 8;
+  cfg.heap_bytes = 64u << 20;
+  Runtime rt(cfg);
+  auto r = rt.launch([&](Pe& pe) {
+    std::size_t off = pe.shmalloc(8);
+    pe.put_i64(pe.id(), off, pe.id() + 1);
+  });
+  ASSERT_TRUE(r.ok) << r.first_error();
+  const std::optional<long> after = vm_rss_kib();
+  ASSERT_TRUE(after.has_value());
+  EXPECT_LT(*after - *before, 16L << 10) << "VmRSS grew by "
+                                          << *after - *before << " KiB";
 }
 
 // Parameterized: put/get round trips hold for every PE count we care

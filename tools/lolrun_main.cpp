@@ -39,8 +39,9 @@ int usage(const char* prog) {
       "                     thread (default auto)\n"
       "  --barrier-radix <R>  combining-tree barrier fan-in (default auto;\n"
       "                     results are identical for every radix)\n"
-      "  --heap-bytes <B>   symmetric heap per PE (default 1 MiB; large -np\n"
-      "                     runs want this smaller)\n"
+      "  --heap-bytes <B>   symmetric heap limit per PE (default 1 MiB);\n"
+      "                     reserved, not committed: PEs pay only for the\n"
+      "                     heap they touch\n"
       "  --seed <S>         WHATEVR/WHATEVAR seed\n"
       "  --max-steps <S>    per-PE step budget, 0 = unlimited (default)\n"
       "  --machine <m>      epiphany3 | xc40 | smp: enable simulated time\n"
@@ -338,9 +339,10 @@ int main(int argc, char** argv) {
       // Profile goes to stderr even for failed runs: a step-limited job
       // is exactly when the per-PE step counts matter.
       std::fprintf(stderr,
-                   "[profile] claim=%.3fms exec=%.3fms\n"
+                   "[profile] setup=%.3fms claim=%.3fms exec=%.3fms\n"
                    "[profile] %6s %12s %10s %12s %8s %10s %8s\n",
-                   result.claim_ms, result.exec_ms, "pe", "steps",
+                   result.setup_ms, result.claim_ms, result.exec_ms, "pe",
+                   "steps",
                    "barriers", "barrier_ms", "locks", "lock_ms", "gimmeh");
       for (std::size_t i = 0; i < result.pe_profiles.size(); ++i) {
         const lol::obs::PeProfile& p = result.pe_profiles[i];

@@ -752,7 +752,7 @@ int main(int argc, char** argv) {
   auto print_result = [&](const lol::service::JobResult& r) {
     if (quiet) return;
     // Lifecycle spans inline on the status line: where each job's time
-    // actually went (queue vs compile vs claim vs run vs drain).
+    // actually went (queue vs compile vs setup vs claim vs run vs drain).
     std::string trace;
     for (const auto& sp : r.trace) {
       char buf[80];
