@@ -1,15 +1,17 @@
 // Experiment E-OPT — what the optimizing middle-end buys each backend.
 //
 // Runs the §VI hot-loop workloads (heat_1d, n-body, barrier-sum) at -O0
-// and -O2 on the interp and VM backends (the paths that execute the AST
-// / bytecode shape directly and so gain the most from folding,
-// propagation and unrolling). The headline number is the -O2/-O0
-// throughput ratio per workload; the native and JIT backends run the
-// same optimized program but amortize it behind the host compiler.
+// and -O2 on the interp, VM and JIT backends. Warm rows compile once and
+// time run() alone (after one untimed run, so the JIT's emit is not in
+// them). Cold rows time compile() plus run() per iteration on lolrun's
+// default VM backend, so the optimizer's own cost is in the total: a
+// pass that saves less run time than it costs compile time shows up as
+// a slower -O2 cold row.
 #include <sstream>
 #include <string>
 
 #include "bench_common.hpp"
+#include "codegen/jit_backend.hpp"
 #include "core/paper_programs.hpp"
 
 namespace {
@@ -72,16 +74,39 @@ lol::CompiledProgram compile_at(const std::string& src, int level) {
 
 void run_workload(benchmark::State& state, const std::string& src,
                   lol::Backend backend, int opt_level, int n_pes) {
+  if (backend == lol::Backend::kJit && !lol::codegen::jit_available()) {
+    state.SkipWithError("jit unavailable on this host");
+    return;
+  }
   auto prog = compile_at(src, opt_level);
   lol::RunConfig cfg;
   cfg.n_pes = n_pes;
   cfg.backend = backend;
+  if (!lol::run(prog, cfg).ok) {
+    state.SkipWithError("warmup run failed");
+    return;
+  }
   for (auto _ : state) {
     auto r = bench::must_run(prog, cfg, state);
     benchmark::DoNotOptimize(r.ok);
   }
   state.SetLabel(std::string(lol::to_string(backend)) + " -O" +
                  std::to_string(opt_level));
+  state.SetItemsProcessed(state.iterations());
+}
+
+void run_cold(benchmark::State& state, const std::string& src,
+              int opt_level, int n_pes) {
+  lol::RunConfig cfg;
+  cfg.n_pes = n_pes;
+  cfg.backend = lol::Backend::kVm;
+  for (auto _ : state) {
+    auto prog = compile_at(src, opt_level);
+    auto r = bench::must_run(prog, cfg, state);
+    benchmark::DoNotOptimize(r.ok);
+  }
+  state.SetLabel(std::string(lol::to_string(cfg.backend)) + " -O" +
+                 std::to_string(opt_level) + " cold");
   state.SetItemsProcessed(state.iterations());
 }
 
@@ -103,8 +128,21 @@ void BM_OptBarrierSum(benchmark::State& state) {
                static_cast<int>(state.range(1)), 4);
 }
 
+void BM_OptColdHeat1d(benchmark::State& state) {
+  run_cold(state, heat_source(400), static_cast<int>(state.range(0)), 2);
+}
+
+void BM_OptColdNbody(benchmark::State& state) {
+  run_cold(state, nbody_source(), static_cast<int>(state.range(0)), 2);
+}
+
+void BM_OptColdBarrierSum(benchmark::State& state) {
+  run_cold(state, barrier_source(), static_cast<int>(state.range(0)), 4);
+}
+
 void opt_args(benchmark::internal::Benchmark* b) {
-  for (auto backend : {lol::Backend::kInterp, lol::Backend::kVm}) {
+  for (auto backend :
+       {lol::Backend::kInterp, lol::Backend::kVm, lol::Backend::kJit}) {
     for (int level : {0, 2}) {
       b->Args({static_cast<long>(backend), level});
     }
@@ -112,16 +150,23 @@ void opt_args(benchmark::internal::Benchmark* b) {
   b->Unit(benchmark::kMillisecond);
 }
 
+void cold_args(benchmark::internal::Benchmark* b) {
+  b->Arg(0)->Arg(2)->Unit(benchmark::kMillisecond);
+}
+
 BENCHMARK(BM_OptHeat1d)->Apply(opt_args);
 BENCHMARK(BM_OptNbody)->Apply(opt_args);
 BENCHMARK(BM_OptBarrierSum)->Apply(opt_args);
+BENCHMARK(BM_OptColdHeat1d)->Apply(cold_args);
+BENCHMARK(BM_OptColdNbody)->Apply(cold_args);
+BENCHMARK(BM_OptColdBarrierSum)->Apply(cold_args);
 
 }  // namespace
 
 int main(int argc, char** argv) {
   bench::banner("E-OPT",
                 "Optimizing middle-end: -O0 vs -O2 per backend on the "
-                "paper's SVI hot-loop workloads");
+                "paper's SVI hot-loop workloads, warm and cold");
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

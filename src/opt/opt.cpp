@@ -1,6 +1,5 @@
 #include "opt/opt.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -12,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "ast/printer.hpp"
 #include "obs/metrics.hpp"
 #include "opt/clone.hpp"
 #include "rt/ops.hpp"
@@ -68,44 +66,6 @@ ExprPtr make_literal(const rt::Value& v, support::SourceLoc loc) {
     }
   }
   return std::make_unique<NoobLit>(loc);  // unreachable
-}
-
-std::size_t count_expr_nodes(const Expr& e) {
-  std::size_t n = 1;
-  switch (e.kind) {
-    case ExprKind::kSrsRef:
-      n += count_expr_nodes(*static_cast<const SrsRef&>(e).name_expr);
-      break;
-    case ExprKind::kIndex: {
-      const auto& i = static_cast<const IndexExpr&>(e);
-      n += count_expr_nodes(*i.base) + count_expr_nodes(*i.index);
-      break;
-    }
-    case ExprKind::kBinary: {
-      const auto& b = static_cast<const BinaryExpr&>(e);
-      n += count_expr_nodes(*b.lhs) + count_expr_nodes(*b.rhs);
-      break;
-    }
-    case ExprKind::kNary:
-      for (const auto& o : static_cast<const NaryExpr&>(e).operands) {
-        n += count_expr_nodes(*o);
-      }
-      break;
-    case ExprKind::kUnary:
-      n += count_expr_nodes(*static_cast<const UnaryExpr&>(e).operand);
-      break;
-    case ExprKind::kCast:
-      n += count_expr_nodes(*static_cast<const CastExpr&>(e).value);
-      break;
-    case ExprKind::kCall:
-      for (const auto& a : static_cast<const CallExpr&>(e).args) {
-        n += count_expr_nodes(*a);
-      }
-      break;
-    default:
-      break;
-  }
-  return n;
 }
 
 std::size_t count_stmts(const StmtList& body);
@@ -490,11 +450,6 @@ struct Types {
       default:
         return std::nullopt;  // IT, SRS, calls
     }
-  }
-
-  [[nodiscard]] bool numeric(const Expr& e) const {
-    auto t = of(e);
-    return t == TypeKind::kNumbr || t == TypeKind::kNumbar;
   }
 };
 
@@ -1536,1086 +1491,6 @@ struct Select {
 };
 
 // ---------------------------------------------------------------------------
-// Pass: predication-region coalescing
-//
-// An unrolled remote-interaction loop leaves a run of TXT MAH BFF
-// regions with the same target in one statement list, separated by
-// purely local statements. Each region entry evaluates and range-checks
-// the target and opens a child scope; coalescing the run into one
-// region does that once. Safe exactly when (a) the target expression is
-// a literal, ME, or a local variable no statement in the merged span
-// mutates — so the dropped re-evaluations provably yield the same PE —
-// and (b) every absorbed statement is local and scope-neutral: no
-// declarations anywhere in the span (region bodies are scopes; merging
-// must not extend a name's visibility), no calls (a callee's UR refs
-// would start resolving against the region's target instead of
-// throwing), and no UR refs in the statements between regions (they
-// would stop throwing). Statements keep their order, so every read and
-// write — including the remote ones — happens exactly as before.
-// ---------------------------------------------------------------------------
-
-struct RegionMerge {
-  const Census& census;
-  Stats& st;
-  std::uint64_t changed = 0;
-
-  void run(StmtList& body) {
-    if (census.has_srs) return;
-    walk(body);
-  }
-
-  void walk(StmtList& body) {
-    for (auto& s : body) {
-      for_each_child_list(*s, [&](StmtList& b) { walk(b); });
-    }
-    for (std::size_t i = 0; i < body.size(); ++i) {
-      if (body[i]->kind != StmtKind::kTxt) continue;
-      auto& first = static_cast<TxtStmt&>(*body[i]);
-      // Keep absorbing [locals..., TXT same-target {...}] suffixes.
-      while (true) {
-        std::size_t k = i + 1;
-        while (k < body.size() && absorbable(*body[k])) ++k;
-        if (k >= body.size() || body[k]->kind != StmtKind::kTxt) break;
-        auto& next = static_cast<TxtStmt&>(*body[k]);
-        if (!same_target(*first.target_pe, *next.target_pe)) break;
-        if (!span_safe(first, body, i + 1, k, next)) break;
-        for (std::size_t j = i + 1; j < k; ++j) {
-          first.body.push_back(std::move(body[j]));
-        }
-        for (auto& s : next.body) first.body.push_back(std::move(s));
-        body.erase(body.begin() + static_cast<std::ptrdiff_t>(i) + 1,
-                   body.begin() + static_cast<std::ptrdiff_t>(k) + 1);
-        ++st.merged;
-        ++changed;
-      }
-    }
-  }
-
-  /// Statement kinds that may move into a region: straight-line local
-  /// statements only. Their expressions are vetted in span_safe.
-  [[nodiscard]] static bool absorbable(const Stmt& s) {
-    switch (s.kind) {
-      case StmtKind::kAssign:
-      case StmtKind::kExpr:
-      case StmtKind::kVisible:
-      case StmtKind::kCastTo:
-        return true;
-      default:
-        return false;
-    }
-  }
-
-  [[nodiscard]] static bool same_target(const Expr& a, const Expr& b) {
-    if (a.kind == ExprKind::kMe && b.kind == ExprKind::kMe) return true;
-    if (a.kind == ExprKind::kVarRef && b.kind == ExprKind::kVarRef) {
-      const auto& ra = static_cast<const VarRef&>(a);
-      const auto& rb = static_cast<const VarRef&>(b);
-      return ra.locality != Locality::kRemote &&
-             rb.locality != Locality::kRemote && ra.name == rb.name;
-    }
-    auto la = literal_of(a);
-    auto lb = literal_of(b);
-    return la && lb && la->is_numbr() && lb->is_numbr() &&
-           la->numbr_raw() == lb->numbr_raw();
-  }
-
-  /// Vets the merged span: the first region's body, the statements
-  /// between, and the next region's body together declare nothing and
-  /// call nothing, the between-statements reference nothing remote, and
-  /// (for a variable target) nothing in the span mutates the target.
-  [[nodiscard]] bool span_safe(const TxtStmt& first, const StmtList& body,
-                               std::size_t lo, std::size_t hi,
-                               const TxtStmt& next) const {
-    Census span;
-    for (const auto& s : first.body) census_stmt(*s, span);
-    for (std::size_t j = lo; j < hi; ++j) {
-      census_stmt(*body[j], span);
-      if (stmt_has_remote_or_call(*body[j])) return false;
-    }
-    for (const auto& s : next.body) census_stmt(*s, span);
-    if (span.has_srs || !span.decl_count.empty()) return false;
-    for (const auto& s : first.body) {
-      if (stmt_has_call(*s)) return false;
-    }
-    for (const auto& s : next.body) {
-      if (stmt_has_call(*s)) return false;
-    }
-    if (first.target_pe->kind == ExprKind::kVarRef) {
-      const auto& name = static_cast<const VarRef&>(*first.target_pe).name;
-      if (span.mutated.count(name) != 0) return false;
-    }
-    return true;
-  }
-
-  [[nodiscard]] static bool expr_has(const Expr& e, bool remote_too) {
-    switch (e.kind) {
-      case ExprKind::kCall:
-        return true;
-      case ExprKind::kVarRef:
-        return remote_too &&
-               static_cast<const VarRef&>(e).locality == Locality::kRemote;
-      case ExprKind::kIndex: {
-        const auto& i = static_cast<const IndexExpr&>(e);
-        return expr_has(*i.base, remote_too) ||
-               expr_has(*i.index, remote_too);
-      }
-      case ExprKind::kBinary: {
-        const auto& b = static_cast<const BinaryExpr&>(e);
-        return expr_has(*b.lhs, remote_too) || expr_has(*b.rhs, remote_too);
-      }
-      case ExprKind::kNary: {
-        for (const auto& o : static_cast<const NaryExpr&>(e).operands) {
-          if (expr_has(*o, remote_too)) return true;
-        }
-        return false;
-      }
-      case ExprKind::kUnary:
-        return expr_has(*static_cast<const UnaryExpr&>(e).operand,
-                        remote_too);
-      case ExprKind::kCast:
-        return expr_has(*static_cast<const CastExpr&>(e).value, remote_too);
-      case ExprKind::kSrsRef:
-        return true;  // unreachable: the pass bails on SRS programs
-      default:
-        return false;
-    }
-  }
-
-  [[nodiscard]] static bool stmt_scan(const Stmt& s, bool remote_too) {
-    bool found = false;
-    // NOLINTNEXTLINE(cppcoreguidelines-pro-type-const-cast): read-only scan
-    for_each_rvalue(const_cast<Stmt&>(s), [&](ExprPtr& e) {
-      if (expr_has(*e, remote_too)) found = true;
-    });
-    // for_each_rvalue exposes only the index of an lvalue place; the
-    // base's locality (UR writes) must be checked directly.
-    auto place_remote = [&](const Expr& place) {
-      const Expr* base = &place;
-      if (base->kind == ExprKind::kIndex) {
-        base = static_cast<const IndexExpr&>(*base).base.get();
-      }
-      return base->kind == ExprKind::kVarRef &&
-             static_cast<const VarRef&>(*base).locality == Locality::kRemote;
-    };
-    if (remote_too) {
-      if (s.kind == StmtKind::kAssign &&
-          place_remote(*static_cast<const AssignStmt&>(s).target)) {
-        found = true;
-      }
-      if (s.kind == StmtKind::kCastTo &&
-          place_remote(*static_cast<const CastToStmt&>(s).target)) {
-        found = true;
-      }
-    }
-    return found;
-  }
-
-  [[nodiscard]] static bool stmt_has_remote_or_call(const Stmt& s) {
-    return stmt_scan(s, /*remote_too=*/true);
-  }
-
-  /// Calls anywhere in a region body (including nested statements) keep
-  /// the region un-merged; a callee's UR refs resolve dynamically.
-  [[nodiscard]] static bool stmt_has_call(const Stmt& s) {
-    if (stmt_scan(s, /*remote_too=*/false)) return true;
-    bool found = false;
-    // NOLINTNEXTLINE(cppcoreguidelines-pro-type-const-cast): read-only scan
-    for_each_child_list(const_cast<Stmt&>(s), [&](StmtList& b) {
-      for (const auto& c : b) {
-        if (stmt_has_call(*c)) found = true;
-      }
-    });
-    return found;
-  }
-};
-
-// ---------------------------------------------------------------------------
-// Pass: forward substitution of single-use scalar definitions
-//
-// `v R E1`, then (possibly after independent private assignments) the
-// self-update `v R E2(v)` with E2 reading v exactly once, fuses into
-// `v R E2(E1)`: one statement dispatch, one store and one name lookup
-// fewer per execution. Unrolled interaction kernels are full of the
-// shape (`dx R DIFF OF .. / dx R SQUAR OF dx`), and name lookups are the
-// top entry in interpreter profiles of the paper's SVI workloads.
-//
-// Soundness needs three things.
-//  * Dropping the store must be invisible: v has a unique private scalar
-//    declaration that provably executed (otherwise an unbound-store
-//    error would move from the def's location to the use's), nothing
-//    between def and use reads or writes v, and the use writes v back,
-//    so everything after it sees the same value.
-//  * Moving E1's evaluation to the use site must be invisible: E1 is
-//    pure and total — literals, ME / MAH FRENZ, typed in-scope scalars,
-//    literal-index reads of literal-sized typed arrays (a UR read is a
-//    one-sided get at a heap offset fixed at compile time, as total as a
-//    local read once region entry has range-checked the target), and
-//    operators total on the inferred types. A thrown error would change
-//    location; an rng draw would reorder the stream.
-//  * The crossed material must commute with E1: intervening statements
-//    are assignments to private scalars outside E1's read set whose
-//    values touch no array, call or remote state, and E2's operands
-//    around the v read are equally tame — so the per-PE sequence of
-//    symmetric accesses (part of the pipeline's contract) is intact.
-//    Crossed statements may still throw: the def's store was private, so
-//    dying before it is indistinguishable from dying after it.
-//
-// SRSLY-typed targets additionally require E1's inferred type to equal
-// the declared type exactly: the dropped store would have coerced
-// through Value::cast_to, and fusing must not skip an int-to-float
-// widening the program could observe downstream.
-// ---------------------------------------------------------------------------
-
-struct Fuse {
-  Census& census;
-  const Types& types;
-  Stats& st;
-  std::uint64_t changed = 0;
-
-  // Names whose unique declaration has executed in the current scope
-  // chain (same discipline as LoopOpt: a fused program must not be able
-  // to hit an unbound read the original program lacked — or lose an
-  // unbound store the original had).
-  std::vector<std::unordered_set<std::string>> inscope;
-  bool in_region = false;
-
-  void run(StmtList& body) {
-    if (census.has_srs) return;
-    walk(body);
-  }
-
-  void walk(StmtList& body) {
-    // A fusion can enable one earlier in the list (the nbody kernel's
-    // `dx` def becomes adjacent to its use only after the `dy` def fuses
-    // away), so sweep until a pass over the list changes nothing. Child
-    // lists reach their own fixpoint on the first sweep.
-    for (bool first = true, again = true; again; first = false) {
-      again = false;
-      inscope.emplace_back();
-      for (std::size_t i = 0; i < body.size(); ++i) {
-        Stmt& s = *body[i];
-        switch (s.kind) {
-          case StmtKind::kVarDecl: {
-            const auto& d = static_cast<const VarDeclStmt&>(s);
-            auto it = census.decl_count.find(d.name);
-            if (it != census.decl_count.end() && it->second == 1) {
-              inscope.back().insert(d.name);
-            }
-            continue;
-          }
-          case StmtKind::kLoop: {
-            if (!first) continue;
-            auto& l = static_cast<LoopStmt&>(s);
-            inscope.emplace_back();
-            if (!l.var.empty()) inscope.back().insert(l.var);
-            walk(l.body);
-            inscope.pop_back();
-            continue;
-          }
-          case StmtKind::kFuncDef: {
-            if (!first) continue;
-            auto saved = std::move(inscope);
-            inscope.clear();
-            inscope.emplace_back();
-            bool region = std::exchange(in_region, false);
-            walk(static_cast<FuncDefStmt&>(s).body);
-            in_region = region;
-            inscope = std::move(saved);
-            continue;
-          }
-          case StmtKind::kTxt: {
-            if (!first) continue;
-            inscope.emplace_back();
-            bool region = std::exchange(in_region, true);
-            walk(static_cast<TxtStmt&>(s).body);
-            in_region = region;
-            inscope.pop_back();
-            continue;
-          }
-          case StmtKind::kAssign:
-            if (try_fuse(body, i)) {
-              again = true;
-              // The def at `i` was erased; re-examine the slot, which
-              // now holds the first statement the scan crossed (unsigned
-              // wrap at i == 0 is restored by the increment).
-              --i;
-            }
-            continue;
-          default:
-            break;
-        }
-        if (first) {
-          for_each_child_list(s, [&](StmtList& b) {
-            inscope.emplace_back();
-            walk(b);
-            inscope.pop_back();
-          });
-        }
-      }
-      inscope.pop_back();
-    }
-  }
-
-  [[nodiscard]] bool declared(const std::string& name) const {
-    for (const auto& scope : inscope) {
-      if (scope.count(name) != 0) return true;
-    }
-    return false;
-  }
-
-  [[nodiscard]] const VarDeclStmt* private_scalar(
-      const std::string& name) const {
-    auto it = census.unique_decl.find(name);
-    if (it == census.unique_decl.end()) return nullptr;
-    const VarDeclStmt* d = it->second;
-    if (d->scope != DeclScope::kPrivate || d->sharin || d->is_array) {
-      return nullptr;
-    }
-    return d;
-  }
-
-  /// Pure and total, with the type the evaluation yields: the predicate
-  /// that lets E1's evaluation move to the use site. Mirrors LoopOpt's
-  /// invariant-totality rules (no written-set: the scan separately
-  /// guarantees nothing crossed writes E1's operands), plus literal
-  /// in-bounds reads of literal-sized statically typed arrays.
-  std::optional<TypeKind> total(const Expr& e) const {
-    switch (e.kind) {
-      case ExprKind::kNumbrLit:
-        return TypeKind::kNumbr;
-      case ExprKind::kNumbarLit:
-        return TypeKind::kNumbar;
-      case ExprKind::kTroofLit:
-        return TypeKind::kTroof;
-      case ExprKind::kNoobLit:
-        return TypeKind::kNoob;
-      case ExprKind::kYarnLit:
-        if (!static_cast<const YarnLit&>(e).is_plain()) {
-          return std::nullopt;  // interpolation reads the environment
-        }
-        return TypeKind::kYarn;
-      case ExprKind::kMe:
-      case ExprKind::kMahFrenz:
-        return TypeKind::kNumbr;
-      case ExprKind::kVarRef: {
-        const auto& r = static_cast<const VarRef&>(e);
-        if (!declared(r.name)) return std::nullopt;
-        auto it = types.vars.find(r.name);
-        if (it == types.vars.end()) return std::nullopt;
-        if (r.locality == Locality::kRemote) {
-          auto du = census.unique_decl.find(r.name);
-          if (!in_region || du == census.unique_decl.end() ||
-              du->second->scope != DeclScope::kSymmetric) {
-            return std::nullopt;
-          }
-        }
-        return it->second;
-      }
-      case ExprKind::kIndex: {
-        const auto& ix = static_cast<const IndexExpr&>(e);
-        if (ix.base->kind != ExprKind::kVarRef) return std::nullopt;
-        const auto& b = static_cast<const VarRef&>(*ix.base);
-        if (!declared(b.name)) return std::nullopt;
-        auto te = types.array_elem.find(b.name);
-        if (te == types.array_elem.end()) return std::nullopt;
-        auto du = census.unique_decl.find(b.name);
-        if (du == census.unique_decl.end()) return std::nullopt;
-        const VarDeclStmt& d = *du->second;
-        if (b.locality == Locality::kRemote &&
-            (!in_region || d.scope != DeclScope::kSymmetric)) {
-          return std::nullopt;
-        }
-        if (!d.is_array || !d.array_size ||
-            d.array_size->kind != ExprKind::kNumbrLit ||
-            ix.index->kind != ExprKind::kNumbrLit) {
-          return std::nullopt;
-        }
-        std::int64_t size =
-            static_cast<const NumbrLit&>(*d.array_size).value;
-        std::int64_t idx = static_cast<const NumbrLit&>(*ix.index).value;
-        if (idx < 0 || idx >= size) return std::nullopt;
-        return te->second;
-      }
-      case ExprKind::kBinary: {
-        const auto& b = static_cast<const BinaryExpr&>(e);
-        auto l = total(*b.lhs);
-        auto r = total(*b.rhs);
-        if (!l || !r) return std::nullopt;
-        bool ln = *l == TypeKind::kNumbr || *l == TypeKind::kNumbar;
-        bool rn = *r == TypeKind::kNumbr || *r == TypeKind::kNumbar;
-        switch (b.op) {
-          case BinOp::kSum:
-          case BinOp::kDiff:
-          case BinOp::kProdukt:
-          case BinOp::kBiggr:
-          case BinOp::kSmallr:
-            if (!ln || !rn) return std::nullopt;
-            return *l == TypeKind::kNumbar || *r == TypeKind::kNumbar
-                       ? TypeKind::kNumbar
-                       : TypeKind::kNumbr;
-          case BinOp::kBigger:
-          case BinOp::kSmallrCmp:
-            if (!ln || !rn) return std::nullopt;
-            return TypeKind::kTroof;
-          case BinOp::kBothSaem:
-          case BinOp::kDiffrint:
-          case BinOp::kBothOf:
-          case BinOp::kEitherOf:
-          case BinOp::kWonOf:
-            return TypeKind::kTroof;  // saem/to_troof are total
-          case BinOp::kQuoshunt:
-          case BinOp::kMod:
-            return std::nullopt;  // may divide by zero at run time
-        }
-        return std::nullopt;
-      }
-      case ExprKind::kUnary: {
-        const auto& u = static_cast<const UnaryExpr&>(e);
-        auto t = total(*u.operand);
-        if (!t) return std::nullopt;
-        if (u.op == UnOp::kNot) return TypeKind::kTroof;
-        if (u.op == UnOp::kSquar &&
-            (*t == TypeKind::kNumbr || *t == TypeKind::kNumbar)) {
-          return t;
-        }
-        return std::nullopt;  // UNSQUAR/FLIP throw on some inputs
-      }
-      default:
-        return std::nullopt;  // IT, rng, casts, calls
-    }
-  }
-
-  static void collect_reads(const Expr& e,
-                            std::unordered_set<std::string>& out) {
-    switch (e.kind) {
-      case ExprKind::kVarRef:
-        out.insert(static_cast<const VarRef&>(e).name);
-        return;
-      case ExprKind::kIndex: {
-        const auto& ix = static_cast<const IndexExpr&>(e);
-        collect_reads(*ix.base, out);
-        collect_reads(*ix.index, out);
-        return;
-      }
-      case ExprKind::kBinary: {
-        const auto& b = static_cast<const BinaryExpr&>(e);
-        collect_reads(*b.lhs, out);
-        collect_reads(*b.rhs, out);
-        return;
-      }
-      case ExprKind::kNary:
-        for (const auto& o : static_cast<const NaryExpr&>(e).operands) {
-          collect_reads(*o, out);
-        }
-        return;
-      case ExprKind::kUnary:
-        collect_reads(*static_cast<const UnaryExpr&>(e).operand, out);
-        return;
-      case ExprKind::kCast:
-        collect_reads(*static_cast<const CastExpr&>(e).value, out);
-        return;
-      default:
-        return;  // literals, ME, MAH FRENZ (E1 is total: nothing else)
-    }
-  }
-
-  /// Walks an expression counting plain reads of `v` (recording the one
-  /// slot a fusion would replace) while checking that every *other* node
-  /// is material E1 may cross: no arrays, calls, remote refs, shared
-  /// scalars or interpolation — reads of private scalars, IT, ME, rng
-  /// and literals only.
-  struct UseScan {
-    const Fuse& p;
-    const std::string& v;
-    ExprPtr* slot = nullptr;
-    int n = 0;
-    bool ok = true;
-
-    void walk(ExprPtr& e) {
-      switch (e->kind) {
-        case ExprKind::kVarRef: {
-          const auto& r = static_cast<const VarRef&>(*e);
-          if (r.name == v) {
-            if (r.locality == Locality::kRemote) ok = false;
-            slot = &e;
-            ++n;
-            return;
-          }
-          if (r.locality == Locality::kRemote ||
-              p.private_scalar(r.name) == nullptr) {
-            ok = false;
-          }
-          return;
-        }
-        case ExprKind::kNumbrLit:
-        case ExprKind::kNumbarLit:
-        case ExprKind::kTroofLit:
-        case ExprKind::kNoobLit:
-        case ExprKind::kItRef:
-        case ExprKind::kMe:
-        case ExprKind::kMahFrenz:
-        case ExprKind::kWhatevr:
-        case ExprKind::kWhatevar:
-          return;
-        case ExprKind::kYarnLit:
-          if (!static_cast<const YarnLit&>(*e).is_plain()) ok = false;
-          return;
-        case ExprKind::kBinary: {
-          auto& b = static_cast<BinaryExpr&>(*e);
-          walk(b.lhs);
-          walk(b.rhs);
-          return;
-        }
-        case ExprKind::kNary:
-          for (auto& o : static_cast<NaryExpr&>(*e).operands) walk(o);
-          return;
-        case ExprKind::kUnary:
-          walk(static_cast<UnaryExpr&>(*e).operand);
-          return;
-        case ExprKind::kCast:
-          walk(static_cast<CastExpr&>(*e).value);
-          return;
-        default:
-          ok = false;  // kIndex, kCall, kSrsRef
-          return;
-      }
-    }
-  };
-
-  bool try_fuse(StmtList& body, std::size_t i) {
-    auto& def = static_cast<AssignStmt&>(*body[i]);
-    if (def.target->kind != ExprKind::kVarRef) return false;
-    const auto& tv = static_cast<const VarRef&>(*def.target);
-    if (tv.locality == Locality::kRemote) return false;
-    const std::string& v = tv.name;
-    const VarDeclStmt* d = private_scalar(v);
-    if (d == nullptr || !declared(v)) return false;
-    std::optional<TypeKind> ty = total(*def.value);
-    if (!ty) return false;
-    if (d->srsly && (!d->declared_type || *ty != *d->declared_type)) {
-      return false;
-    }
-
-    std::unordered_set<std::string> reads;
-    collect_reads(*def.value, reads);
-
-    for (std::size_t j = i + 1; j < body.size(); ++j) {
-      if (body[j]->kind != StmtKind::kAssign) return false;
-      auto& use = static_cast<AssignStmt&>(*body[j]);
-      if (use.target->kind != ExprKind::kVarRef) return false;
-      const auto& w = static_cast<const VarRef&>(*use.target);
-      if (w.locality == Locality::kRemote) return false;
-      UseScan scan{*this, v};
-      scan.walk(use.value);
-      if (!scan.ok) return false;
-      if (w.name == v) {
-        // The first write of v after the def: it must be the single-read
-        // self-update, or there is nothing to fuse.
-        if (scan.n != 1 || scan.slot == nullptr) return false;
-        *scan.slot = std::move(def.value);
-        body.erase(body.begin() + static_cast<std::ptrdiff_t>(i));
-        ++st.fused;
-        ++changed;
-        return true;
-      }
-      if (scan.n != 0) return false;  // an intervening read of v
-      if (private_scalar(w.name) == nullptr) {
-        return false;  // a symmetric store is an access E1 must not cross
-      }
-      if (reads.count(w.name) != 0) {
-        return false;  // clobbers one of E1's operands
-      }
-    }
-    return false;
-  }
-};
-
-// ---------------------------------------------------------------------------
-// Pass: loop-invariant code motion + strength reduction
-//
-// One walker handles both: they share the per-loop "what does the body
-// write" analysis and both insert declarations before the loop.
-// ---------------------------------------------------------------------------
-
-struct LoopOpt {
-  Census& census;
-  const Types& types;
-  const Options& opts;
-  Stats& st;
-  std::uint64_t changed = 0;
-  int fresh_n = 0;
-
-  // Names whose unique declaration has executed in the current scope
-  // chain (so reading them at the hoist point cannot be an unbound-
-  // variable error the original program lacked).
-  std::vector<std::unordered_set<std::string>> inscope;
-
-  std::string fresh(const char* tag) {
-    for (;;) {
-      std::string name = std::string(tag) + std::to_string(fresh_n++);
-      if (census.identifiers.insert(name).second) return name;
-    }
-  }
-
-  void run(StmtList& body) {
-    if (census.has_srs) return;
-    inscope.emplace_back();
-    walk(body);
-    inscope.pop_back();
-  }
-
-  void walk(StmtList& body) {
-    for (std::size_t i = 0; i < body.size(); ++i) {
-      Stmt& s = *body[i];
-      switch (s.kind) {
-        case StmtKind::kVarDecl: {
-          const auto& d = static_cast<const VarDeclStmt&>(s);
-          auto it = census.decl_count.find(d.name);
-          if (it != census.decl_count.end() && it->second == 1) {
-            inscope.back().insert(d.name);
-          }
-          break;
-        }
-        case StmtKind::kLoop: {
-          auto& l = static_cast<LoopStmt&>(s);
-          std::size_t inserted = process(l, body, i);
-          i += inserted;  // the loop moved right by `inserted` slots
-          inscope.emplace_back();
-          if (!l.var.empty()) inscope.back().insert(l.var);
-          walk(l.body);
-          inscope.pop_back();
-          continue;
-        }
-        case StmtKind::kFuncDef: {
-          auto saved = std::move(inscope);
-          inscope.clear();
-          inscope.emplace_back();
-          walk(static_cast<FuncDefStmt&>(s).body);
-          inscope = std::move(saved);
-          continue;
-        }
-        default:
-          break;
-      }
-      for_each_child_list(s, [&](StmtList& b) {
-        inscope.emplace_back();
-        walk(b);
-        inscope.pop_back();
-      });
-    }
-  }
-
-  [[nodiscard]] bool known(const std::string& name) const {
-    if (types.vars.count(name) == 0) return false;
-    for (const auto& scope : inscope) {
-      if (scope.count(name) != 0) return true;
-    }
-    return false;
-  }
-
-  /// What one loop body can write, plus reasons to give up entirely.
-  struct BodyFacts {
-    std::unordered_set<std::string> written;  // incl. nested loop vars
-    std::unordered_set<std::string> declared;
-    bool has_call = false;  // functions may write globals: bail
-  };
-
-  void collect(StmtList& body, BodyFacts& f) const {
-    for (auto& sp : body) collect(*sp, f);
-  }
-
-  void collect(Stmt& s, BodyFacts& f) const {
-    auto place = [&](const Expr& target) {
-      if (const std::string* base = place_base_name(target)) {
-        f.written.insert(*base);
-      }
-    };
-    switch (s.kind) {
-      case StmtKind::kVarDecl:
-        f.declared.insert(static_cast<const VarDeclStmt&>(s).name);
-        break;
-      case StmtKind::kAssign:
-        place(*static_cast<const AssignStmt&>(s).target);
-        break;
-      case StmtKind::kGimmeh:
-        place(*static_cast<const GimmehStmt&>(s).target);
-        break;
-      case StmtKind::kCastTo:
-        place(*static_cast<const CastToStmt&>(s).target);
-        break;
-      case StmtKind::kLock:
-        place(*static_cast<const LockStmt&>(s).target);
-        break;
-      case StmtKind::kLoop: {
-        const auto& l = static_cast<const LoopStmt&>(s);
-        if (!l.var.empty()) f.declared.insert(l.var);
-        if (l.update == LoopUpdate::kFunc) f.has_call = true;
-        break;
-      }
-      default:
-        break;
-    }
-    // Calls anywhere (statement or expression position) clobber.
-    struct CallScan {
-      bool* flag;
-      void expr(const Expr& e) {
-        if (e.kind == ExprKind::kCall) *flag = true;
-        switch (e.kind) {
-          case ExprKind::kSrsRef:
-            expr(*static_cast<const SrsRef&>(e).name_expr);
-            break;
-          case ExprKind::kIndex: {
-            const auto& i = static_cast<const IndexExpr&>(e);
-            expr(*i.base);
-            expr(*i.index);
-            break;
-          }
-          case ExprKind::kBinary: {
-            const auto& b = static_cast<const BinaryExpr&>(e);
-            expr(*b.lhs);
-            expr(*b.rhs);
-            break;
-          }
-          case ExprKind::kNary:
-            for (const auto& o :
-                 static_cast<const NaryExpr&>(e).operands) {
-              expr(*o);
-            }
-            break;
-          case ExprKind::kUnary:
-            expr(*static_cast<const UnaryExpr&>(e).operand);
-            break;
-          case ExprKind::kCast:
-            expr(*static_cast<const CastExpr&>(e).value);
-            break;
-          case ExprKind::kCall:
-            for (const auto& a : static_cast<const CallExpr&>(e).args) {
-              expr(*a);
-            }
-            break;
-          default:
-            break;
-        }
-      }
-    } scan{&f.has_call};
-    for_each_rvalue(s, [&](ExprPtr& e) { scan.expr(*e); });
-    for_each_child_list(s, [&](StmtList& b) { collect(b, f); });
-  }
-
-  /// Returns how many statements were inserted before the loop.
-  std::size_t process(LoopStmt& loop, StmtList& list, std::size_t idx) {
-    BodyFacts f;
-    collect(loop.body, f);
-    if (loop.update == LoopUpdate::kFunc) f.has_call = true;
-    if (f.has_call) return 0;
-
-    std::size_t inserted = 0;
-    inserted += licm(loop, f, list, idx);
-    inserted += strength(loop, f, list, idx + inserted);
-    return inserted;
-  }
-
-  // -- LICM ----------------------------------------------------------------
-
-  /// Pure, total, loop-invariant: every leaf is a literal, ME, MAH
-  /// FRENZ, or an in-scope statically typed variable the body never
-  /// writes; every operator is total on the inferred operand types.
-  /// Returns the expression's type when all of that holds.
-  std::optional<TypeKind> invariant_total(const Expr& e,
-                                          const BodyFacts& f) const {
-    switch (e.kind) {
-      case ExprKind::kNumbrLit:
-        return TypeKind::kNumbr;
-      case ExprKind::kNumbarLit:
-        return TypeKind::kNumbar;
-      case ExprKind::kTroofLit:
-        return TypeKind::kTroof;
-      case ExprKind::kNoobLit:
-        return TypeKind::kNoob;
-      case ExprKind::kYarnLit:
-        if (!static_cast<const YarnLit&>(e).is_plain()) {
-          return std::nullopt;  // interpolation reads the environment
-        }
-        return TypeKind::kYarn;
-      case ExprKind::kMe:
-      case ExprKind::kMahFrenz:
-        return TypeKind::kNumbr;
-      case ExprKind::kVarRef: {
-        const auto& r = static_cast<const VarRef&>(e);
-        if (r.locality == Locality::kRemote) return std::nullopt;
-        if (f.written.count(r.name) != 0 ||
-            f.declared.count(r.name) != 0) {
-          return std::nullopt;
-        }
-        if (!known(r.name)) return std::nullopt;
-        return types.vars.at(r.name);
-      }
-      case ExprKind::kBinary: {
-        const auto& b = static_cast<const BinaryExpr&>(e);
-        auto l = invariant_total(*b.lhs, f);
-        auto r = invariant_total(*b.rhs, f);
-        if (!l || !r) return std::nullopt;
-        bool ln = *l == TypeKind::kNumbr || *l == TypeKind::kNumbar;
-        bool rn = *r == TypeKind::kNumbr || *r == TypeKind::kNumbar;
-        switch (b.op) {
-          case BinOp::kSum:
-          case BinOp::kDiff:
-          case BinOp::kProdukt:
-          case BinOp::kBiggr:
-          case BinOp::kSmallr:
-            if (!ln || !rn) return std::nullopt;
-            return *l == TypeKind::kNumbar || *r == TypeKind::kNumbar
-                       ? TypeKind::kNumbar
-                       : TypeKind::kNumbr;
-          case BinOp::kBigger:
-          case BinOp::kSmallrCmp:
-            if (!ln || !rn) return std::nullopt;
-            return TypeKind::kTroof;
-          case BinOp::kBothSaem:
-          case BinOp::kDiffrint:
-          case BinOp::kBothOf:
-          case BinOp::kEitherOf:
-          case BinOp::kWonOf:
-            return TypeKind::kTroof;  // saem/to_troof are total
-          case BinOp::kQuoshunt:
-          case BinOp::kMod:
-            return std::nullopt;  // may divide by zero at run time
-        }
-        return std::nullopt;
-      }
-      case ExprKind::kUnary: {
-        const auto& u = static_cast<const UnaryExpr&>(e);
-        auto t = invariant_total(*u.operand, f);
-        if (!t) return std::nullopt;
-        if (u.op == UnOp::kNot) return TypeKind::kTroof;
-        if (u.op == UnOp::kSquar &&
-            (*t == TypeKind::kNumbr || *t == TypeKind::kNumbar)) {
-          return t;
-        }
-        return std::nullopt;  // UNSQUAR/FLIP throw on some inputs
-      }
-      default:
-        return std::nullopt;
-    }
-  }
-
-  std::size_t licm(LoopStmt& loop, const BodyFacts& f, StmtList& list,
-                   std::size_t idx) {
-    // Collect maximal invariant subexpressions worth a variable.
-    std::vector<std::string> order;
-    std::unordered_set<std::string> seen;
-    auto consider = [&](const Expr& e) {
-      if (count_expr_nodes(e) < 3) return false;
-      if (!invariant_total(e, f)) return false;
-      std::string key = dump(e);
-      if (seen.insert(key).second) order.push_back(std::move(key));
-      return true;
-    };
-    scan_exprs(loop.body, [&](const Expr& e) { return consider(e); });
-    if (order.empty()) return 0;
-    if (order.size() > 8) order.resize(8);
-
-    std::size_t inserted = 0;
-    for (const std::string& key : order) {
-      std::string name = fresh("licm_t");
-      const Expr* sample = nullptr;
-      replace_exprs(loop.body, [&](ExprPtr& slot) {
-        if (!invariant_total(*slot, f) ||
-            count_expr_nodes(*slot) < 3 || dump(*slot) != key) {
-          return false;
-        }
-        if (sample == nullptr) {
-          // First match donates the hoisted initializer.
-          auto decl = std::make_unique<VarDeclStmt>(loop.loc);
-          decl->name = name;
-          decl->init = clone_expr(*slot);
-          sample = decl->init.get();
-          list.insert(list.begin() + static_cast<std::ptrdiff_t>(idx) +
-                          static_cast<std::ptrdiff_t>(inserted),
-                      std::move(decl));
-          ++inserted;
-        }
-        slot = std::make_unique<VarRef>(name, Locality::kDefault,
-                                        slot->loc);
-        return true;
-      });
-      if (sample != nullptr) {
-        ++st.hoisted;
-        ++changed;
-      }
-    }
-    return inserted;
-  }
-
-  // -- strength reduction --------------------------------------------------
-
-  std::size_t strength(LoopStmt& loop, const BodyFacts& f, StmtList& list,
-                       std::size_t idx) {
-    if (loop.update != LoopUpdate::kUppin || loop.var.empty()) return 0;
-    const std::string& c = loop.var;
-    if (f.written.count(c) != 0 || f.declared.count(c) != 0) return 0;
-    auto it = census.decl_count.find(c);
-    if (it == census.decl_count.end() || it->second != 1) return 0;
-
-    // counter * k (either operand order), local reads only.
-    auto match = [&](const Expr& e) -> std::optional<std::int64_t> {
-      if (e.kind != ExprKind::kBinary) return std::nullopt;
-      const auto& b = static_cast<const BinaryExpr&>(e);
-      if (b.op != BinOp::kProdukt) return std::nullopt;
-      auto pick = [&](const Expr& vr,
-                      const Expr& lit) -> std::optional<std::int64_t> {
-        if (vr.kind != ExprKind::kVarRef ||
-            lit.kind != ExprKind::kNumbrLit) {
-          return std::nullopt;
-        }
-        const auto& r = static_cast<const VarRef&>(vr);
-        if (r.name != c || r.locality == Locality::kRemote) {
-          return std::nullopt;
-        }
-        return static_cast<const NumbrLit&>(lit).value;
-      };
-      auto k = pick(*b.lhs, *b.rhs);
-      if (!k) k = pick(*b.rhs, *b.lhs);
-      return k;
-    };
-
-    std::vector<std::int64_t> ks;
-    scan_exprs(loop.body, [&](const Expr& e) {
-      auto k = match(e);
-      if (k && std::find(ks.begin(), ks.end(), *k) == ks.end()) {
-        ks.push_back(*k);
-      }
-      return false;  // keep descending: matches can nest in bigger exprs
-    });
-    if (ks.empty()) return 0;
-    if (ks.size() > 4) ks.resize(4);
-
-    std::size_t inserted = 0;
-    for (std::int64_t k : ks) {
-      std::string acc = fresh("sr_acc");
-      replace_exprs(loop.body, [&](ExprPtr& slot) {
-        if (match(*slot) != k) return false;
-        slot = std::make_unique<VarRef>(acc, Locality::kDefault,
-                                        slot->loc);
-        return true;
-      });
-      // acc starts at 0*k and gains k after every iteration, mirroring
-      // UPPIN: at each condition/body evaluation acc == counter * k.
-      auto decl = std::make_unique<VarDeclStmt>(loop.loc);
-      decl->name = acc;
-      decl->init = std::make_unique<NumbrLit>(0, loop.loc);
-      list.insert(
-          list.begin() + static_cast<std::ptrdiff_t>(idx) +
-              static_cast<std::ptrdiff_t>(inserted),
-          std::move(decl));
-      ++inserted;
-      loop.body.push_back(std::make_unique<AssignStmt>(
-          std::make_unique<VarRef>(acc, Locality::kDefault, loop.loc),
-          std::make_unique<BinaryExpr>(
-              BinOp::kSum,
-              std::make_unique<VarRef>(acc, Locality::kDefault, loop.loc),
-              std::make_unique<NumbrLit>(k, loop.loc), loop.loc),
-          loop.loc));
-      ++st.reduced;
-      ++changed;
-    }
-    return inserted;
-  }
-
-  // -- expression scanning over a body (rvalues only, no nested funcs) -----
-
-  /// Calls `fn` on expressions top-down; when fn returns true the
-  /// walker does not descend into that expression's children.
-  template <typename Fn>
-  void scan_exprs(StmtList& body, Fn&& fn) {
-    for (auto& sp : body) {
-      for_each_rvalue(*sp, [&](ExprPtr& e) { scan_expr(*e, fn); });
-      for_each_child_list(*sp, [&](StmtList& b) { scan_exprs(b, fn); });
-    }
-  }
-
-  template <typename Fn>
-  void scan_expr(const Expr& e, Fn&& fn) {
-    if (fn(e)) return;
-    switch (e.kind) {
-      case ExprKind::kIndex: {
-        const auto& i = static_cast<const IndexExpr&>(e);
-        scan_expr(*i.index, fn);
-        break;
-      }
-      case ExprKind::kBinary: {
-        const auto& b = static_cast<const BinaryExpr&>(e);
-        scan_expr(*b.lhs, fn);
-        scan_expr(*b.rhs, fn);
-        break;
-      }
-      case ExprKind::kNary:
-        for (const auto& o : static_cast<const NaryExpr&>(e).operands) {
-          scan_expr(*o, fn);
-        }
-        break;
-      case ExprKind::kUnary:
-        scan_expr(*static_cast<const UnaryExpr&>(e).operand, fn);
-        break;
-      case ExprKind::kCast:
-        scan_expr(*static_cast<const CastExpr&>(e).value, fn);
-        break;
-      case ExprKind::kCall:
-        for (const auto& a : static_cast<const CallExpr&>(e).args) {
-          scan_expr(*a, fn);
-        }
-        break;
-      default:
-        break;
-    }
-  }
-
-  /// Calls `fn` on expression slots top-down; when fn returns true (it
-  /// replaced the slot) the walker does not descend into the result.
-  template <typename Fn>
-  void replace_exprs(StmtList& body, Fn&& fn) {
-    for (auto& sp : body) {
-      for_each_rvalue(*sp, [&](ExprPtr& e) { replace_expr(e, fn); });
-      for_each_child_list(*sp, [&](StmtList& b) { replace_exprs(b, fn); });
-    }
-  }
-
-  template <typename Fn>
-  void replace_expr(ExprPtr& slot, Fn&& fn) {
-    if (fn(slot)) return;
-    switch (slot->kind) {
-      case ExprKind::kIndex:
-        replace_expr(static_cast<IndexExpr&>(*slot).index, fn);
-        break;
-      case ExprKind::kBinary: {
-        auto& b = static_cast<BinaryExpr&>(*slot);
-        replace_expr(b.lhs, fn);
-        replace_expr(b.rhs, fn);
-        break;
-      }
-      case ExprKind::kNary:
-        for (auto& o : static_cast<NaryExpr&>(*slot).operands) {
-          replace_expr(o, fn);
-        }
-        break;
-      case ExprKind::kUnary:
-        replace_expr(static_cast<UnaryExpr&>(*slot).operand, fn);
-        break;
-      case ExprKind::kCast:
-        replace_expr(static_cast<CastExpr&>(*slot).value, fn);
-        break;
-      case ExprKind::kCall:
-        for (auto& a : static_cast<CallExpr&>(*slot).args) {
-          replace_expr(a, fn);
-        }
-        break;
-      default:
-        break;
-    }
-  }
-};
-
-// ---------------------------------------------------------------------------
 // Pass: dead code elimination — unreferenced declarations and dead IT
 // writes (the literal ExprStmt residue branch selection leaves behind)
 // ---------------------------------------------------------------------------
@@ -2813,18 +1688,6 @@ void optimize(Program& program, const Options& opts, Stats* stats) {
       Select select{census, st};
       select.run(program.body);
       changed += select.changed;
-
-      RegionMerge regions{census, st};
-      regions.run(program.body);
-      changed += regions.changed;
-
-      Fuse fuse{census, types, st};
-      fuse.run(program.body);
-      changed += fuse.changed;
-
-      LoopOpt loopopt{census, types, opts, st};
-      loopopt.run(program.body);
-      changed += loopopt.changed;
     }
     if (changed == 0) break;
   }
@@ -2838,10 +1701,6 @@ void optimize(Program& program, const Options& opts, Stats* stats) {
     record("prop", st.propagated);
     record("unroll", st.unrolled);
     record("select", st.selected);
-    record("licm", st.hoisted);
-    record("strength", st.reduced);
-    record("regions", st.merged);
-    record("fuse", st.fused);
     record("dce", st.dead);
     m.folded.inc(st.total() - before_total);
     m.ms.observe(std::chrono::duration<double, std::milli>(

@@ -597,7 +597,10 @@ void Service::record(const JobResult& r) {
   auto bump = [](std::atomic<std::uint64_t>& c) {
     c.fetch_add(1, std::memory_order_relaxed);
   };
-  bump(counts_.completed);
+  // A job refused inside execute() (bad replay trace or fault spec)
+  // never ran: it counts as rejected, like a queue-full refusal.
+  bump(r.status == JobStatus::kRejected ? counts_.rejected
+                                        : counts_.completed);
   switch (r.status) {
     case JobStatus::kOk: bump(counts_.ok); break;
     case JobStatus::kCompileError: bump(counts_.compile_errors); break;
@@ -608,7 +611,7 @@ void Service::record(const JobResult& r) {
       svc_metrics().deadline_by_tenant.with(r.tenant).inc();
       break;
     case JobStatus::kCancelled: bump(counts_.cancelled); break;
-    case JobStatus::kRejected: break;       // bad trace/fault spec refusal
+    case JobStatus::kRejected: break;       // counted above
     case JobStatus::kQuotaExceeded: break;  // never ran; never reaches here
     case JobStatus::kPeFailed: bump(counts_.pe_failed); break;
     case JobStatus::kReplayDiverged: bump(counts_.replay_diverged); break;

@@ -477,6 +477,58 @@ TEST(LolserveCli, MalformedNumericFlagsAreUsageErrors) {
   EXPECT_EQ(ok.status, 0) << ok.output;
 }
 
+// --replay follows lolrun's rules: it excludes --record/--perturb-seed,
+// and an unreadable or malformed trace is a usage error reported once,
+// before any job runs.
+TEST(LolserveCli, ReplayFlagsMatchLolrun) {
+  std::string path =
+      write_program("serve_replay", "HAI 1.2\nVISIBLE ME\nKTHXBYE\n");
+  std::string bad_trace = "/tmp/parallol_cli_bad.trace";
+  ASSERT_TRUE(lol::driver::write_file(bad_trace, "definitely not a trace"));
+  std::string bin = std::string(LOLSERVE_BIN) + " --quiet ";
+  for (const std::string& flags :
+       {"--perturb-seed 3 --replay " + bad_trace,
+        "--record /tmp/parallol_cli_rec.trace --replay " + bad_trace}) {
+    auto r = run_cmd(bin + flags + " " + path);
+    EXPECT_EQ(WEXITSTATUS(r.status), 2) << flags << ": " << r.output;
+    EXPECT_NE(r.output.find("--replay excludes"), std::string::npos)
+        << flags << ": " << r.output;
+  }
+  auto missing = run_cmd(bin + "--replay /tmp/parallol_no_such.trace " + path);
+  EXPECT_EQ(WEXITSTATUS(missing.status), 2) << missing.output;
+  EXPECT_NE(missing.output.find("cannot read trace"), std::string::npos)
+      << missing.output;
+  auto bad = run_cmd(bin + "--repeat 3 --replay " + bad_trace + " " + path);
+  EXPECT_EQ(WEXITSTATUS(bad.status), 2) << bad.output;
+  std::size_t at = bad.output.find("bad trace");
+  ASSERT_NE(at, std::string::npos) << bad.output;
+  EXPECT_EQ(bad.output.find("bad trace", at + 1), std::string::npos)
+      << "reported more than once: " << bad.output;
+  EXPECT_EQ(bad.output.find("jobs ("), std::string::npos) << bad.output;
+}
+
+TEST(LolserveCli, ManifestFieldsAreStrict) {
+  std::string path =
+      write_program("serve_manifest", "HAI 1.2\nVISIBLE ME\nKTHXBYE\n");
+  std::string manifest = "/tmp/parallol_cli_manifest.txt";
+  for (const std::string& fields :
+       {"4x 12abc", "-3", "0", "99999", "2 12abc", "2 100 - 1.5",
+        "2 100 t 50 extra"}) {
+    ASSERT_TRUE(lol::driver::write_file(
+        manifest, "# jobs\n" + path + " " + fields + "\n"));
+    auto r = run_cmd(std::string(LOLSERVE_BIN) + " --quiet --manifest " +
+                     manifest);
+    EXPECT_EQ(WEXITSTATUS(r.status), 2) << fields << ": " << r.output;
+    EXPECT_NE(r.output.find(manifest + ":2: bad "), std::string::npos)
+        << fields << ": " << r.output;
+  }
+  ASSERT_TRUE(lol::driver::write_file(
+      manifest, path + " 3 100000 - 5000  # tenant skipped\n"));
+  auto ok = run_cmd(std::string(LOLSERVE_BIN) + " --manifest " + manifest);
+  EXPECT_EQ(ok.status, 0) << ok.output;
+  EXPECT_NE(ok.output.find("1 jobs (1 ok"), std::string::npos) << ok.output;
+}
+
 #endif  // LOLSERVE_BIN
 
 }  // namespace

@@ -155,67 +155,12 @@ TEST(OptSelect, NonLiteralConditionKeepsBranch) {
   EXPECT_TRUE(contains(d, "(orly")) << d;
 }
 
-// -- licm ---------------------------------------------------------------------
-
-TEST(OptLicm, HoistsInvariantProduct) {
-  // a and b are mutated before the loop, so prop cannot erase them —
-  // but SRSLY typing proves them NUMBR, making PRODUKT total and
-  // hoistable.
-  Stats st;
-  std::string d = opt_dump(
-      "I HAS A a ITZ SRSLY A NUMBR AN ITZ 5\n"
-      "I HAS A b ITZ SRSLY A NUMBR AN ITZ 7\n"
-      "a R SUM OF a AN 2\n"
-      "b R SUM OF b AN 1\n"
-      "I HAS A s ITZ A NUMBR AN ITZ 0\n"
-      "IM IN YR lp UPPIN YR i TIL BOTH SAEM i AN 20\n"
-      "  s R SUM OF s AN PRODUKT OF a AN b\n"
-      "IM OUTTA YR lp\n"
-      "VISIBLE s",
-      2, &st);
-  EXPECT_TRUE(contains(d, "(decl i licm_t0 init=(produkt (var a) (var b)))"))
-      << d;
-  EXPECT_TRUE(contains(d, "(sum (var s) (var licm_t0))")) << d;
-  EXPECT_GT(st.hoisted, 0u);
-}
-
-TEST(OptLicm, NeverHoistsCounterDependentExpressions) {
-  Stats st;
-  std::string d = opt_dump(
-      "I HAS A a ITZ SRSLY A NUMBR AN ITZ 5\n"
-      "a R SUM OF a AN 2\n"
-      "IM IN YR lp UPPIN YR i TIL BOTH SAEM i AN 20\n"
-      "  VISIBLE SUM OF i AN a\n"
-      "IM OUTTA YR lp",
-      2, &st);
-  EXPECT_FALSE(contains(d, "licm_t")) << d;
-  EXPECT_EQ(st.hoisted, 0u);
-}
-
-// -- strength -----------------------------------------------------------------
-
-TEST(OptStrength, ReducesCounterTimesConstant) {
-  Stats st;
-  std::string d = opt_dump(
-      "I HAS A s ITZ A NUMBR AN ITZ 0\n"
-      "IM IN YR lp UPPIN YR i TIL BOTH SAEM i AN 100\n"
-      "  s R SUM OF s AN PRODUKT OF i AN 3\n"
-      "IM OUTTA YR lp\n"
-      "VISIBLE s",
-      2, &st);
-  EXPECT_TRUE(contains(d, "(decl i sr_acc0 init=(numbr 0))")) << d;
-  EXPECT_TRUE(contains(d, "(assign (var sr_acc0) (sum (var sr_acc0) "
-                          "(numbr 3)))"))
-      << d;
-  EXPECT_GT(st.reduced, 0u);
-}
-
 // -- SRS gating ---------------------------------------------------------------
 
 TEST(OptSrs, DynamicNamesDisableNameSensitivePasses) {
-  // SRS can read or write any variable by computed name, so prop/dce/
-  // licm must all stand down; only the never-mutated literal fold of
-  // pure arithmetic could still fire, and x's declaration must stay.
+  // SRS can read or write any variable by computed name, so prop and
+  // dce must stand down; only the never-mutated literal fold of pure
+  // arithmetic could still fire, and x's declaration must stay.
   Stats st;
   std::string d = opt_dump(
       "I HAS A x ITZ 5\n"
@@ -268,112 +213,6 @@ TEST(OptDce, RemovesLiteralItWriteOverwrittenBeforeRead) {
   EXPECT_FALSE(contains(d, "(expr (troof WIN))")) << d;
   EXPECT_TRUE(contains(d, "(expr (troof FAIL))")) << d;  // read by VISIBLE IT
   EXPECT_EQ(st.dead, 1u);
-}
-
-// -- region merging -----------------------------------------------------------
-
-TEST(OptRegions, MergesBackToBackRegionsWithSameTarget) {
-  // Two predications of the same literal target, separated only by a
-  // private-scalar assignment, become one region: one target eval and
-  // one entry instead of two. The rng keeps prop from erasing t.
-  Stats st;
-  std::string d = opt_dump(
-      "WE HAS A s ITZ SRSLY A NUMBR AN IM SHARIN IT\n"
-      "I HAS A t ITZ 0\n"
-      "TXT MAH BFF 0 AN STUFF,\n  UR s R 1\nTTYL\n"
-      "t R WHATEVR\n"
-      "TXT MAH BFF 0 AN STUFF,\n  UR s R t\nTTYL",
-      2, &st);
-  EXPECT_EQ(st.merged, 1u);
-  EXPECT_TRUE(contains(
-      d,
-      "(txt block (numbr 0) (assign (var ur s) (numbr 1)) "
-      "(assign (var t) (whatevr)) (assign (var ur s) (var t))))"))
-      << d;
-}
-
-TEST(OptRegions, KeepsRegionsWithDifferentTargets) {
-  Stats st;
-  std::string d = opt_dump(
-      "WE HAS A s ITZ SRSLY A NUMBR AN IM SHARIN IT\n"
-      "TXT MAH BFF 0 AN STUFF,\n  UR s R 1\nTTYL\n"
-      "TXT MAH BFF 1 AN STUFF,\n  UR s R 2\nTTYL",
-      2, &st);
-  EXPECT_EQ(st.merged, 0u);
-  EXPECT_TRUE(contains(d, "(txt block (numbr 0)")) << d;
-  EXPECT_TRUE(contains(d, "(txt block (numbr 1)")) << d;
-}
-
-// -- forward substitution -----------------------------------------------------
-
-TEST(OptFuse, FusesDefsIntoSelfUpdatesAcrossEachOther) {
-  // The nbody interaction shape: two defs from typed-array reads, then
-  // the self-squarings. b's def crosses a's (local-pure) square to reach
-  // its use; that leaves a's def adjacent to its own. Both fuse, so each
-  // pair costs one statement, one store and one lookup instead of two.
-  Stats st;
-  std::string d = opt_dump(
-      "I HAS A a ITZ SRSLY A NUMBAR AN ITZ 0.0\n"
-      "I HAS A b ITZ SRSLY A NUMBAR AN ITZ 0.0\n"
-      "I HAS A p ITZ SRSLY LOTZ A NUMBARS AN THAR IZ 4\n"
-      "a R DIFF OF p'Z 0 AN p'Z 1\n"
-      "b R DIFF OF p'Z 2 AN p'Z 3\n"
-      "a R PRODUKT OF a AN a\n"
-      "b R PRODUKT OF b AN b\n"
-      "VISIBLE SUM OF a AN b",
-      2, &st);
-  EXPECT_EQ(st.fused, 2u);
-  EXPECT_TRUE(contains(d,
-                       "(assign (var a) (squar (diff (index (var p) "
-                       "(numbr 0)) (index (var p) (numbr 1)))))"))
-      << d;
-  EXPECT_TRUE(contains(d,
-                       "(assign (var b) (squar (diff (index (var p) "
-                       "(numbr 2)) (index (var p) (numbr 3)))))"))
-      << d;
-}
-
-TEST(OptFuse, InterveningReadBlocksFusion) {
-  // c reads a between a's def and a's self-update: fusing would hand c
-  // the stale value.
-  Stats st;
-  std::string d = opt_dump(
-      "I HAS A a ITZ SRSLY A NUMBR AN ITZ 0\n"
-      "I HAS A c ITZ SRSLY A NUMBR AN ITZ 0\n"
-      "a R SUM OF 2 AN 2\n"
-      "c R SUM OF a AN 1\n"
-      "a R SUM OF a AN 1\n"
-      "VISIBLE SMOOSH a AN c MKAY",
-      2, &st);
-  EXPECT_EQ(st.fused, 0u);
-  EXPECT_TRUE(contains(d, "(assign (var a) (numbr 4))")) << d;
-}
-
-TEST(OptFuse, OutOfBoundsIndexBlocksFusion) {
-  // p'Z 9 throws at the def's location; moving the read to the use site
-  // would move the reported error. The def must stay put.
-  Stats st;
-  std::string d = opt_dump(
-      "I HAS A a ITZ SRSLY A NUMBAR AN ITZ 0.0\n"
-      "I HAS A p ITZ SRSLY LOTZ A NUMBARS AN THAR IZ 4\n"
-      "a R DIFF OF p'Z 0 AN p'Z 9\n"
-      "a R PRODUKT OF a AN a\n"
-      "VISIBLE a",
-      2, &st);
-  EXPECT_EQ(st.fused, 0u);
-}
-
-TEST(OptFuse, SymmetricTargetBlocksFusion) {
-  // A symmetric scalar's store is observable by other PEs; dropping it
-  // is never sound.
-  Stats st;
-  std::string d = opt_dump(
-      "WE HAS A g ITZ SRSLY A NUMBR AN IM SHARIN IT\n"
-      "g R 4\n"
-      "g R SUM OF g AN 1\n"
-      "VISIBLE g",
-      2, &st);
-  EXPECT_EQ(st.fused, 0u);
 }
 
 // -- level gating -------------------------------------------------------------

@@ -597,6 +597,28 @@ TEST(Service, SubmitAfterShutdownIsRejected) {
   EXPECT_EQ(r.status, JobStatus::kRejected);
 }
 
+TEST(Service, JobsRefusedByAWorkerCountAsRejectedNotCompleted) {
+  // A bad replay trace or fault spec is refused inside the worker, after
+  // the job left the queue; it never ran, so it must land in the same
+  // counter as a queue-full refusal.
+  Service svc(ServiceOptions{});
+  Job bad_trace = make_job("bad-trace", kHello, 1);
+  bad_trace.schedule = lol::replay::ScheduleMode::kReplay;
+  bad_trace.replay_trace = "definitely not a trace";
+  Job bad_fault = make_job("bad-fault", kHello, 1);
+  bad_fault.fault_spec = "pe=1";
+  EXPECT_EQ(svc.submit(bad_trace).get().status, JobStatus::kRejected);
+  EXPECT_EQ(svc.submit(bad_fault).get().status, JobStatus::kRejected);
+  EXPECT_EQ(svc.submit(make_job("fine", kHello, 1)).get().status,
+            JobStatus::kOk);
+  svc.shutdown();
+  Service::Stats s = svc.stats();
+  EXPECT_EQ(s.submitted, 3u);
+  EXPECT_EQ(s.rejected, 2u);
+  EXPECT_EQ(s.completed, 1u);
+  EXPECT_EQ(s.ok, 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Wall-clock deadlines (the reaper)
 // ---------------------------------------------------------------------------

@@ -64,8 +64,8 @@ int usage(const char* prog) {
       "                     and lock waits, GIMMEH blocks) to stderr\n"
       "  --tag              prefix output lines with [peN]\n"
       "  --no-stdin         do not feed piped stdin to GIMMEH\n"
-      "  --opt-level <L>    optimizer level 0 (off), 1 (folding), or\n"
-      "                     2 (full loop pipeline; default)\n"
+      "  --opt-level <L>    optimizer level 0 (off), 1 (fold, prop, dce),\n"
+      "                     or 2 (adds unroll and select; default)\n"
       "  --tune             run short calibration runs, print the chosen\n"
       "                     runtime knobs, and persist them (--tuner-cache)\n"
       "  --tuner-cache <f>  tuned-knob store: with --tune, where to\n"

@@ -43,6 +43,7 @@
 
 #include "driver/cli.hpp"
 #include "obs/metrics.hpp"
+#include "replay/trace.hpp"
 #include "service/daemon.hpp"
 #include "service/service.hpp"
 #include "service/wire.hpp"
@@ -74,9 +75,10 @@ int usage(const char* prog) {
       "                     client jobs (default auto; results are radix-\n"
       "                     invariant; daemon jobs set \"barrier_radix\"\n"
       "                     per submission on the wire)\n"
-      "  --opt-level <L>    optimizing middle-end level 0..2 for batch/\n"
-      "                     client jobs (default 2; daemon jobs set\n"
-      "                     \"opt_level\" per submission on the wire)\n"
+      "  --opt-level <L>    optimizer level for batch/client jobs: 0 (off),\n"
+      "                     1 (fold, prop, dce) or 2 (adds unroll and\n"
+      "                     select; default); daemon jobs set\n"
+      "                     \"opt_level\" per submission on the wire\n"
       "  --tuner-cache <file>  durable auto-tuner store; warm jobs get\n"
       "                     the persisted knob winners applied (see\n"
       "                     lolrun --tune)\n"
@@ -158,27 +160,52 @@ bool expand_path(const std::string& arg, std::vector<JobSpec>& out) {
 
 /// Parses a manifest: `<path> [n_pes] [max_steps] [tenant] [deadline_ms]`,
 /// '#' starts a comment. Use `-` for tenant to skip to deadline_ms.
-bool read_manifest(const std::string& path, std::vector<JobSpec>& out) {
+/// Numeric fields are strict (see driver::parse_int); returns 0, or the
+/// exit status after reporting `file:line` (1 unreadable, 2 malformed).
+int read_manifest(const std::string& path, std::vector<JobSpec>& out) {
   auto text = lol::driver::read_file(path);
   if (!text) {
     std::fprintf(stderr, "lolserve: cannot read manifest '%s'\n",
                  path.c_str());
-    return false;
+    return 1;
   }
   std::istringstream in(*text);
   std::string line;
-  while (std::getline(in, line)) {
+  for (int lineno = 1; std::getline(in, line); ++lineno) {
     if (auto hash = line.find('#'); hash != std::string::npos) {
       line.erase(hash);
     }
     std::istringstream fields(line);
+    std::vector<std::string> f;
+    for (std::string tok; fields >> tok;) f.push_back(std::move(tok));
+    if (f.empty()) continue;  // blank/comment-only line
+    auto bad = [&](const char* what, const std::string& value) {
+      std::fprintf(stderr, "lolserve: %s:%d: bad %s '%s'\n", path.c_str(),
+                   lineno, what, value.c_str());
+      return 2;
+    };
+    if (f.size() > 5) return bad("trailing field", f[5]);
     JobSpec spec;
-    if (!(fields >> spec.path)) continue;  // blank/comment-only line
-    fields >> spec.n_pes >> spec.max_steps >> spec.tenant >> spec.deadline_ms;
-    if (spec.tenant == "-") spec.tenant.clear();
+    spec.path = f[0];
+    if (f.size() > 1) {
+      auto n = lol::driver::parse_int(f[1], 1, lol::shmem::kMaxPes);
+      if (!n) return bad("n_pes", f[1]);
+      spec.n_pes = static_cast<int>(*n);
+    }
+    if (f.size() > 2) {
+      auto n = lol::driver::parse_uint(f[2]);
+      if (!n) return bad("max_steps", f[2]);
+      spec.max_steps = *n;
+    }
+    if (f.size() > 3 && f[3] != "-") spec.tenant = f[3];
+    if (f.size() > 4) {
+      auto n = lol::driver::parse_uint(f[4]);
+      if (!n) return bad("deadline_ms", f[4]);
+      spec.deadline_ms = *n;
+    }
     out.push_back(std::move(spec));
   }
-  return true;
+  return 0;
 }
 
 /// Parses "--tenant-weights a=2,b=1" into ServiceOptions::tenant_weights.
@@ -680,11 +707,24 @@ int main(int argc, char** argv) {
     schedule = lol::replay::ScheduleMode::kRecord;
   }
   if (auto replay_path = cli.option("--replay")) {
+    // Same rules and messages as lolrun: a replay is one fixed schedule,
+    // and a bad trace is a usage error reported once, not once per job.
+    if (schedule != lol::replay::ScheduleMode::kNone) {
+      std::fprintf(stderr,
+                   "lolserve: --replay excludes --record/--perturb-seed\n");
+      return 2;
+    }
     auto text = lol::driver::read_file(*replay_path);
     if (!text) {
       std::fprintf(stderr, "lolserve: cannot read trace '%s'\n",
                    replay_path->c_str());
-      return 1;
+      return 2;
+    }
+    std::string terr;
+    if (!lol::replay::Trace::parse(*text, &terr)) {
+      std::fprintf(stderr, "lolserve: bad trace '%s': %s\n",
+                   replay_path->c_str(), terr.c_str());
+      return 2;
     }
     schedule = lol::replay::ScheduleMode::kReplay;
     replay_trace_text = std::move(*text);
@@ -700,7 +740,7 @@ int main(int argc, char** argv) {
 
   std::vector<JobSpec> specs;
   if (auto manifest = cli.option("--manifest")) {
-    if (!read_manifest(*manifest, specs)) return 1;
+    if (int rc = read_manifest(*manifest, specs); rc != 0) return rc;
   }
   for (const auto& arg : cli.positional()) {
     if (!expand_path(arg, specs)) return 1;

@@ -7,6 +7,10 @@
 # Example:
 #   tools/run_benches.sh build bench-out --benchmark_min_time=0.05
 #
+# Unless the extra args name --benchmark_repetitions, every bench runs 5
+# repetitions and reports only their aggregates (mean, median, stddev,
+# cv), so each archived row carries its own spread.
+#
 # Exits non-zero when a bench binary fails or emits an empty/missing
 # JSON report, so CI archives only real measurements.
 set -eu
@@ -15,6 +19,11 @@ BUILD_DIR="${1:-build}"
 OUT_DIR="${2:-bench-out}"
 if [ $# -ge 1 ]; then shift; fi
 if [ $# -ge 1 ]; then shift; fi
+
+case " $* " in
+  *" --benchmark_repetitions"*) ;;
+  *) set -- --benchmark_repetitions=5 --benchmark_report_aggregates_only=true "$@" ;;
+esac
 
 if [ ! -d "$BUILD_DIR" ]; then
   echo "run_benches.sh: build dir '$BUILD_DIR' not found (configure first)" >&2
