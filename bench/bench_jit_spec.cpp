@@ -7,12 +7,16 @@
 //   jit     — the VM with its type-specialized regions in machine code
 //   native  — Backend::kNative (lcc-emitted C via the host cc)
 // These are probes of one layer; the end-to-end numbers on the
-// unreduced paper programs live in e2ebench/.
+// unreduced paper programs live in e2ebench/. The PaperNbody rows are the
+// exception: the unmodified §VI.D listing at the paper's size, on 2 PEs,
+// VM against JIT — how much of the kernel rows' gain survives remote
+// reads, TXT MAH BFF, UNSQUAR/FLIP and barriers.
 #include <string>
 
 #include "bench_common.hpp"
 #include "codegen/jit_backend.hpp"
 #include "codegen/native_backend.hpp"
+#include "core/paper_programs.hpp"
 
 namespace {
 
@@ -76,8 +80,12 @@ std::string nbody_kernel(int pairs) {
 constexpr int kSweeps = 300;
 constexpr int kPairs = 20000;
 
+constexpr int kPaperParticles = 32;
+constexpr int kPaperSteps = 10;
+constexpr int kPaperPes = 2;
+
 void run_variant(benchmark::State& state, const std::string& src,
-                 lol::Backend backend, std::int64_t items) {
+                 lol::Backend backend, std::int64_t items, int n_pes = 1) {
   if (backend == lol::Backend::kJit && !lol::codegen::jit_available()) {
     state.SkipWithError("jit unavailable on this host");
     return;
@@ -90,6 +98,7 @@ void run_variant(benchmark::State& state, const std::string& src,
   auto prog = bench::compile_once(src);
   lol::RunConfig cfg;
   cfg.backend = backend;
+  cfg.n_pes = n_pes;
   // Warm the code caches outside the timed loop (native pays a cc fork
   // on the cold run).
   if (!lol::run(prog, cfg).ok) {
@@ -126,6 +135,21 @@ void BM_Nbody_Native(benchmark::State& s) {
   run_variant(s, nbody_kernel(kPairs), lol::Backend::kNative, kPairs);
 }
 
+// Pair interactions one PE evaluates: its particles against every
+// particle of the gang, each time step.
+constexpr std::int64_t kPaperItems = static_cast<std::int64_t>(kPaperSteps) *
+                                     kPaperParticles * kPaperParticles *
+                                     kPaperPes;
+
+void BM_PaperNbody_Vm(benchmark::State& s) {
+  run_variant(s, lol::paper::nbody_program(kPaperParticles, kPaperSteps, true),
+              lol::Backend::kVm, kPaperItems, kPaperPes);
+}
+void BM_PaperNbody_JitSpecialized(benchmark::State& s) {
+  run_variant(s, lol::paper::nbody_program(kPaperParticles, kPaperSteps, true),
+              lol::Backend::kJit, kPaperItems, kPaperPes);
+}
+
 }  // namespace
 
 BENCHMARK(BM_Heat_Vm)->Unit(benchmark::kMillisecond)->MinTime(0.2);
@@ -138,6 +162,10 @@ BENCHMARK(BM_Nbody_JitSpecialized)
     ->Unit(benchmark::kMillisecond)
     ->MinTime(0.2);
 BENCHMARK(BM_Nbody_Native)->Unit(benchmark::kMillisecond)->MinTime(0.2);
+BENCHMARK(BM_PaperNbody_Vm)->Unit(benchmark::kMillisecond)->MinTime(0.2);
+BENCHMARK(BM_PaperNbody_JitSpecialized)
+    ->Unit(benchmark::kMillisecond)
+    ->MinTime(0.2);
 
 int main(int argc, char** argv) {
   // Keep stdout machine-readable under --benchmark_format=json (CI
@@ -149,7 +177,9 @@ int main(int argc, char** argv) {
   if (!json) {
     bench::banner("J1 (specialized JIT regions)",
                   "JIT vs VM vs native on the SVI heat and n-body inner "
-                  "loops (items = inner-loop iterations).");
+                  "loops (items = inner-loop iterations), and JIT vs VM "
+                  "on the unreduced SVI.D n-body (items = pair "
+                  "interactions per PE).");
   }
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -158,15 +158,72 @@ class RegionSim {
     return entry_state(slot);
   }
 
-  [[nodiscard]] bool snaps_equal(const Snap& a, const Snap& b) const {
-    if (a.vstack != b.vstack) return false;
+  /// Slots whose state on an edge into `pc` cannot matter: the op at
+  /// `pc` unbinds them, and that UNBIND always specializes (the slot is a
+  /// tracked scalar), so nothing reads the state and every exit after it
+  /// derives its writeback from the unbound state alone.
+  [[nodiscard]] bool killed_at(std::size_t pc, std::int32_t slot) const {
+    const vm::Instr& in = chunk_.code[pc];
+    return in.op == Op::kUnbind && in.a == slot &&
+           local_ix_.count(slot) != 0;
+  }
+
+  /// How an edge with state `from` joins a point whose state is `to`:
+  /// the writebacks that make them agree (none when equal), or nullopt
+  /// when they cannot. The only join is forgetting a payload — a slot
+  /// (or IT) typed on the edge but shape-only at `to` is written back so
+  /// its cell is authoritative again, as `to` assumes. Such a slot was
+  /// bound at region entry and never unbound or redeclared on the way
+  /// (its state is not from_decl), so the cell is the one the exits'
+  /// writeback plans already account for.
+  [[nodiscard]] std::optional<std::vector<SpecWriteback>> edge_writebacks(
+      const Snap& from, const Snap& to, std::size_t at) const {
+    if (from.vstack != to.vstack) return std::nullopt;
     std::set<std::int32_t> keys;
-    for (const auto& [slot, st] : a.slots) keys.insert(slot);
-    for (const auto& [slot, st] : b.slots) keys.insert(slot);
+    for (const auto& [slot, st] : from.slots) keys.insert(slot);
+    for (const auto& [slot, st] : to.slots) keys.insert(slot);
+    std::vector<SpecWriteback> wbs;
     for (std::int32_t slot : keys) {
-      if (!(resolve(a, slot) == resolve(b, slot))) return false;
+      SlotSt f = resolve(from, slot), t = resolve(to, slot);
+      if (f == t || killed_at(at, slot)) continue;
+      if (!f.typed || f.from_decl || t.unknown || !t.bound || t.typed) {
+        return std::nullopt;
+      }
+      SpecWriteback wb;
+      wb.kind = slot == SpecLocal::kItSlot ? SpecWriteback::Kind::kIt
+                                           : SpecWriteback::Kind::kStore;
+      wb.local = local_ix_.at(slot);
+      wb.slot = slot;
+      wb.type = f.type;
+      wbs.push_back(wb);
     }
-    return true;
+    return wbs;
+  }
+
+  /// Records an edge that joins the state at `target` (after running
+  /// `wbs`). resolve_joins() turns it into a plain in-region jump, an
+  /// internal exit, or — when the region ends at `target` — an ordinary
+  /// exit with the edge's own state.
+  void join(std::size_t from_pc, std::size_t target, const Snap& s,
+            std::vector<SpecWriteback> wbs) {
+    joins_.push_back({from_pc, target, s, std::move(wbs)});
+  }
+
+  void resolve_joins() {
+    for (Join& j : joins_) {
+      if (j.target >= hi_) {
+        exit_snaps_.push_back({j.from_pc, j.target, std::move(j.snap)});
+      } else if (!j.wbs.empty()) {
+        SpecExit x;
+        x.at_pc = j.from_pc;
+        x.target = j.target;
+        x.vstack = j.snap.vstack;
+        x.writebacks = std::move(j.wbs);
+        x.internal = true;
+        internal_exits_.push_back(std::move(x));
+      }
+    }
+    joins_.clear();
   }
 
   // ---- the linear walk -------------------------------------------------
@@ -177,50 +234,72 @@ class RegionSim {
 
   void simulate() {
     std::size_t pc = lo_;
-    bool dead = false;  // just after an unconditional in-region jump
-    while (pc < frame_.end && acts_.size() < kMaxRegionOps) {
+    bool dead = false;     // just after an unconditional in-region jump
+    bool adopted = false;  // this pc's state came from a forward edge
+    for (;;) {
+      if (pc >= frame_.end) {
+        why_ = "end of frame";
+        break;
+      }
+      if (acts_.size() >= kMaxRegionOps) {
+        why_ = "op budget (" + std::to_string(kMaxRegionOps) + " ops)";
+        break;
+      }
       if (dead) {
         // Linearly unreachable: adopt the state of the first pending
         // forward edge into this pc, if any; otherwise the region ends.
         auto [it, end] = pending_.equal_range(pc);
-        if (it == end) break;
+        if (it == end) {
+          why_ = "not reached from inside the region (follows a jump)";
+          break;
+        }
         vstack_ = it->second.second.vstack;
         state_.clear();
         for (const auto& [slot, st] : it->second.second.slots) {
           state_[slot] = st;
         }
-        internal_edges_[it->second.first] = pc;
+        join(it->second.first, pc, it->second.second, {});
         pending_.erase(it);
         dead = false;
+        adopted = true;
       }
-      if (pc < jump_target_.size() && jump_target_[pc]) {
-        canon_[pc] = snapshot();
-      }
+      const bool target = pc < jump_target_.size() && jump_target_[pc];
+      auto [first, last] = pending_.equal_range(pc);
+      Snap here = target || first != last ? snapshot() : Snap{};
+      if (target) canon_[pc] = here;
       // Forward edges recorded earlier that land here: internal when the
-      // states agree, demoted to generic-resume exits when they don't.
-      for (auto [it, end] = pending_.equal_range(pc); it != end;) {
-        if (snaps_equal(it->second.second, snapshot())) {
-          internal_edges_[it->second.first] = pc;
+      // states join, demoted to generic-resume exits when they don't.
+      for (auto it = first, end = last; it != end;) {
+        const auto& [from_pc, snap] = it->second;
+        if (auto wbs = edge_writebacks(snap, here, pc)) {
+          join(from_pc, pc, snap, std::move(*wbs));
         } else {
-          exit_snaps_.push_back({it->second.first, pc, it->second.second});
+          exit_snaps_.push_back({from_pc, pc, snap});
         }
         it = pending_.erase(it);
       }
       SpecAct act;
       Edge edge = Edge::kNone;
       std::vector<SpecType> before = vstack_;
-      if (!step(chunk_.code[pc], pc, &act, &edge)) break;
+      if (!step(chunk_.code[pc], pc, &act, &edge)) {
+        why_ = std::string(vm::op_name(chunk_.code[pc].op)) + ": " + refusal_;
+        break;
+      }
       acts_.push_back(act);
       vstack_at_.push_back(std::move(before));
       max_depth_ = std::max(max_depth_,
                             static_cast<std::uint32_t>(vstack_.size()));
       if (edge == Edge::kDead) dead = true;
+      adopted = false;
       ++pc;
     }
     hi_ = lo_ + acts_.size();
-    if (!dead && hi_ > lo_) {
+    // No fallthrough when nothing flows linearly into hi: after a jump,
+    // or when hi's state was adopted (that edge's join exits instead).
+    if (!dead && !adopted && hi_ > lo_) {
       exit_snaps_.push_back({hi_, hi_, snapshot()});
     }
+    resolve_joins();
     // Every still-pending forward edge leaves the region.
     for (auto& [target, rec] : pending_) {
       exit_snaps_.push_back({rec.first, target, std::move(rec.second)});
@@ -240,10 +319,11 @@ class RegionSim {
       return;
     }
     auto it = canon_.find(target);
-    if (target >= lo_ && target <= from_pc && it != canon_.end() &&
-        snaps_equal(s, it->second)) {
-      internal_edges_[from_pc] = target;
-      return;
+    if (target >= lo_ && target <= from_pc && it != canon_.end()) {
+      if (auto wbs = edge_writebacks(s, it->second, target)) {
+        join(from_pc, target, s, std::move(*wbs));
+        return;
+      }
     }
     exit_snaps_.push_back({from_pc, target, std::move(s)});
   }
@@ -254,18 +334,44 @@ class RegionSim {
     return &chunk_.decls[static_cast<std::size_t>(it->second)];
   }
 
-  /// Whether a store of `t` into a cell declared by `m` is the identity
-  /// the specialized writeback performs (no SRSLY stype coercion).
-  static bool stype_ok(const vm::DeclMeta* m, SpecType t) {
-    if (m == nullptr || !m->srsly || !m->static_type) return true;
-    return spec_of(*m->static_type) == t;
+  /// The type a store of `t` leaves in a cell declared by `m`: `t` itself
+  /// when no SRSLY type coerces it, NUMBAR for a NUMBR into a SRSLY
+  /// NUMBAR (cvtsi2sd is exactly Value::cast_to's static_cast), nullopt
+  /// for any other coercion.
+  static std::optional<SpecType> stored_type(const vm::DeclMeta* m,
+                                             SpecType t) {
+    if (m == nullptr || !m->srsly || !m->static_type) return t;
+    std::optional<SpecType> declared = spec_of(*m->static_type);
+    if (declared == t) return t;
+    if (declared == SpecType::kDbl && t == SpecType::kInt) return declared;
+    return std::nullopt;
   }
+
+  static SpecGuardKind scalar_guard(SpecType t) {
+    switch (t) {
+      case SpecType::kInt: return SpecGuardKind::kScalarInt;
+      case SpecType::kDbl: return SpecGuardKind::kScalarDbl;
+      case SpecType::kBool: return SpecGuardKind::kScalarBool;
+    }
+    return SpecGuardKind::kScalarShape;
+  }
+
+  /// Records why the op at the current pc cannot join the region.
+  bool refuse(const char* why) {
+    refusal_ = why;
+    return false;
+  }
+
+  static constexpr const char* kStackFull = "virtual stack full";
+  static constexpr const char* kBelowEntry =
+      "operand was pushed before the region";
+  static constexpr const char* kTooManyLocals = "tracked-local limit";
 
   bool step(const vm::Instr& in, std::size_t pc, SpecAct* act, Edge* edge) {
     const std::size_t n = vstack_.size();
     switch (in.op) {
       case Op::kConst: {
-        if (n >= kMaxVstack) return false;
+        if (n >= kMaxVstack) return refuse(kStackFull);
         const rt::Value& v = chunk_.consts[static_cast<std::size_t>(in.a)];
         if (v.is_numbr()) {
           act->kind = SpecAct::Kind::kConst;
@@ -284,19 +390,20 @@ class RegionSim {
           act->out = SpecType::kBool;
           act->imm = v.troof_raw() ? 1 : 0;
         } else {
-          return false;
+          return refuse("YARN or NOOB constant");
         }
         vstack_.push_back(act->out);
         return true;
       }
       case Op::kPop:
-        if (n < 1) return false;
+        if (n < 1) return refuse(kBelowEntry);
         vstack_.pop_back();
         act->kind = SpecAct::Kind::kPop;
         return true;
       case Op::kLoadIt: {
         SlotSt st = state_of(SpecLocal::kItSlot);
-        if (!st.typed || n >= kMaxVstack) return false;
+        if (!st.typed) return refuse("IT's type is not known here");
+        if (n >= kMaxVstack) return refuse(kStackFull);
         act->kind = SpecAct::Kind::kLoadLocal;
         act->out = st.type;
         act->local = track(SpecLocal::kItSlot, std::nullopt, true);
@@ -305,11 +412,11 @@ class RegionSim {
         return true;
       }
       case Op::kStoreIt: {
-        if (n < 1) return false;
+        if (n < 1) return refuse(kBelowEntry);
         SpecType t = vstack_.back();
         vstack_.pop_back();
         act->kind = SpecAct::Kind::kStoreLocal;
-        act->in = t;
+        act->in = act->out = t;
         act->local = track(SpecLocal::kItSlot, std::nullopt, true);
         touch(act->local, t == SpecType::kDbl);
         set_state(SpecLocal::kItSlot, st_typed(t, false));
@@ -317,33 +424,36 @@ class RegionSim {
       }
       case Op::kDeclare: {
         const vm::DeclMeta& m = chunk_.decls[static_cast<std::size_t>(in.a)];
-        if (m.symmetric || m.is_array || m.has_size) return false;
-        if (arrs_.count(m.slot) != 0) return false;
+        if (m.symmetric || m.is_array || m.has_size) {
+          return refuse("array or symmetric declaration");
+        }
+        if (arrs_.count(m.slot) != 0) return refuse("slot used as an array");
         SlotSt st = state_of(m.slot);
         bool first = local_ix_.find(m.slot) == local_ix_.end();
-        if (!first && (st.unknown || st.bound)) return false;
+        if (!first && (st.unknown || st.bound)) {
+          return refuse("slot may still be bound");
+        }
+        if (first && locals_.size() >= kMaxLocals) {
+          return refuse(kTooManyLocals);
+        }
         SpecType t;
         if (m.has_init) {
-          if (n < 1) return false;
-          t = vstack_.back();
-          if (!stype_ok(&m, t)) return false;
+          if (n < 1) return refuse(kBelowEntry);
+          std::optional<SpecType> stored = stored_type(&m, vstack_.back());
+          if (!stored) return refuse("SRSLY type coerces the initializer");
+          act->in = vstack_.back();
           vstack_.pop_back();
           act->kind = SpecAct::Kind::kDeclare;
-          act->in = t;
+          t = *stored;
         } else {
-          if (!m.static_type) return false;
-          auto zt = spec_of(*m.static_type);
-          if (!zt || *zt == SpecType::kBool) {
-            // zero_of(TROOF) exists, but a zero-init TROOF local is not
-            // worth a lattice case; NUMBR/NUMBAR cover the kernels.
-            if (!zt) return false;
-          }
+          std::optional<SpecType> zt =
+              m.static_type ? spec_of(*m.static_type) : std::nullopt;
+          if (!zt) return refuse("no NUMBR/NUMBAR/TROOF zero value");
           t = *zt;
           act->kind = SpecAct::Kind::kDeclareZero;
         }
         act->out = t;
         act->aux = in.a;
-        if (locals_.size() >= kMaxLocals && first) return false;
         act->local = track(m.slot, SpecGuardKind::kUnbound, false);
         touch(act->local, t == SpecType::kDbl);
         set_state(m.slot, st_typed(t, true));
@@ -351,10 +461,10 @@ class RegionSim {
       }
       case Op::kUnbind: {
         std::int32_t slot = in.a;
-        if (arrs_.count(slot) != 0) return false;
+        if (arrs_.count(slot) != 0) return refuse("slot used as an array");
         if (local_ix_.find(slot) == local_ix_.end() &&
             locals_.size() >= kMaxLocals) {
-          return false;
+          return refuse(kTooManyLocals);
         }
         // First-touch-by-unbind needs no guard: op_unbind resets the cell
         // whatever it held, so the writeback is valid unconditionally.
@@ -367,24 +477,25 @@ class RegionSim {
       case Op::kLoadVar: {
         auto flags = static_cast<std::uint32_t>(in.b);
         if (flags == 0) {
-          if (n >= kMaxVstack || arrs_.count(in.a) != 0) return false;
+          if (n >= kMaxVstack) return refuse(kStackFull);
+          if (arrs_.count(in.a) != 0) return refuse("slot used as an array");
           SlotSt st = state_of(in.a);
           bool first = local_ix_.find(in.a) == local_ix_.end();
           if (first) {
             const vm::DeclMeta* m = frame_decl(in.a);
-            if (m != nullptr && (m->symmetric || m->is_array)) return false;
+            if (m != nullptr && (m->symmetric || m->is_array)) {
+              return refuse("symmetric scalar or array read as a value");
+            }
             std::optional<SpecType> hint =
                 m != nullptr && m->hint ? spec_of(*m->hint) : std::nullopt;
-            if (!hint || locals_.size() >= kMaxLocals) return false;
-            SpecGuardKind g = *hint == SpecType::kInt
-                                  ? SpecGuardKind::kScalarInt
-                              : *hint == SpecType::kDbl
-                                  ? SpecGuardKind::kScalarDbl
-                                  : SpecGuardKind::kScalarBool;
-            act->local = track(in.a, g, true);
+            if (!hint) return refuse("read first, no NUMBR/NUMBAR/TROOF hint");
+            if (locals_.size() >= kMaxLocals) return refuse(kTooManyLocals);
+            act->local = track(in.a, scalar_guard(*hint), true);
             st = st_typed(*hint, false);
           } else {
-            if (!st.bound || !st.typed) return false;
+            if (!st.bound || !st.typed) {
+              return refuse("local's type is not known here");
+            }
             act->local = local_ix_.at(in.a);
           }
           act->kind = SpecAct::Kind::kLoadLocal;
@@ -394,42 +505,61 @@ class RegionSim {
           return true;
         }
         if (flags == vm::kAccIndexed) {
-          return arr_access(in.a, /*store=*/false, act);
+          return arr_access(in.a, /*store=*/false, /*remote=*/false, act);
         }
-        return false;
+        if (flags == (vm::kAccIndexed | vm::kAccRemote)) {
+          return arr_access(in.a, /*store=*/false, /*remote=*/true, act);
+        }
+        return refuse("dynamic, global or scalar UR access");
       }
       case Op::kStoreVar: {
         auto flags = static_cast<std::uint32_t>(in.b);
         if (flags == 0) {
-          if (n < 1 || arrs_.count(in.a) != 0) return false;
-          SpecType t = vstack_.back();
+          if (n < 1) return refuse(kBelowEntry);
+          if (arrs_.count(in.a) != 0) return refuse("slot used as an array");
           SlotSt st = state_of(in.a);
           bool first = local_ix_.find(in.a) == local_ix_.end();
           const vm::DeclMeta* m = frame_decl(in.a);
+          std::optional<SpecType> stored = stored_type(m, vstack_.back());
+          if (!stored) return refuse("SRSLY type coerces the value");
           if (first) {
-            if (m != nullptr && (m->symmetric || m->is_array)) return false;
-            if (!stype_ok(m, t) || locals_.size() >= kMaxLocals) {
-              return false;
+            if (m != nullptr && (m->symmetric || m->is_array)) {
+              return refuse("symmetric scalar or array assigned");
             }
-            act->local = track(in.a, SpecGuardKind::kScalarShape, true);
+            if (locals_.size() >= kMaxLocals) return refuse(kTooManyLocals);
+            // A SRSLY-typed cell always holds its declared type (the VM
+            // casts every store), so guard the payload: the local then
+            // enters typed, and a loop head agrees with its back edge.
+            std::optional<SpecType> declared =
+                m != nullptr && m->srsly && m->static_type
+                    ? spec_of(*m->static_type)
+                    : std::nullopt;
+            act->local = track(in.a,
+                               declared ? scalar_guard(*declared)
+                                        : SpecGuardKind::kScalarShape,
+                               true);
+            st = entry_state(in.a);
           } else {
-            if (st.unknown || !st.bound || !stype_ok(m, t)) return false;
+            if (st.unknown || !st.bound) {
+              return refuse("local may be unbound here");
+            }
             act->local = local_ix_.at(in.a);
           }
+          act->in = vstack_.back();
           vstack_.pop_back();
           act->kind = SpecAct::Kind::kStoreLocal;
-          act->in = t;
-          touch(act->local, t == SpecType::kDbl);
-          set_state(in.a, st_typed(t, st.from_decl));
+          act->out = *stored;
+          touch(act->local, *stored == SpecType::kDbl);
+          set_state(in.a, st_typed(*stored, st.from_decl));
           return true;
         }
         if (flags == vm::kAccIndexed) {
-          return arr_access(in.a, /*store=*/true, act);
+          return arr_access(in.a, /*store=*/true, /*remote=*/false, act);
         }
-        return false;
+        return refuse("dynamic, global or UR store");
       }
       case Op::kBinary: {
-        if (n < 2) return false;
+        if (n < 2) return refuse(kBelowEntry);
         SpecType r = vstack_[n - 1], l = vstack_[n - 2];
         std::int32_t promote = 0;
         if (l != r) {
@@ -439,14 +569,14 @@ class RegionSim {
           // (bool with a number) stays generic.
           bool int_dbl = (l == SpecType::kInt && r == SpecType::kDbl) ||
                          (l == SpecType::kDbl && r == SpecType::kInt);
-          if (!int_dbl) return false;
+          if (!int_dbl) return refuse("TROOF mixed with a number");
           promote = l == SpecType::kInt ? kSpecBinPromoteLhs
                                         : kSpecBinPromoteRhs;
           l = SpecType::kDbl;
         }
         auto op = static_cast<ast::BinOp>(in.a);
         std::optional<SpecType> out = bin_result(l, op);
-        if (!out) return false;
+        if (!out) return refuse("operator not specialized for these types");
         vstack_.pop_back();
         vstack_.back() = *out;
         act->kind = SpecAct::Kind::kBin;
@@ -456,30 +586,44 @@ class RegionSim {
         return true;
       }
       case Op::kUnary: {
-        if (n < 1) return false;
+        if (n < 1) return refuse(kBelowEntry);
         SpecType t = vstack_.back();
         auto op = static_cast<ast::UnOp>(in.a);
         if (op == ast::UnOp::kNot) {
-          if (t == SpecType::kDbl) return false;  // ±0.0 vs NaN subtleties
+          if (t == SpecType::kDbl) {
+            return refuse("NOT of a NUMBAR");  // ±0.0 vs NaN subtleties
+          }
           act->kind = SpecAct::Kind::kNot;
           act->in = t;
           act->out = SpecType::kBool;
           vstack_.back() = SpecType::kBool;
           return true;
         }
-        if (op == ast::UnOp::kSquar && t != SpecType::kBool) {
-          act->kind = SpecAct::Kind::kSquar;
-          act->in = t;
-          act->out = t;
-          return true;
+        if (t == SpecType::kBool) return refuse("arithmetic on a TROOF");
+        act->in = t;
+        switch (op) {
+          case ast::UnOp::kSquar:
+            act->kind = SpecAct::Kind::kSquar;
+            act->out = t;
+            return true;
+          case ast::UnOp::kUnsquar:
+          case ast::UnOp::kFlip:
+            // rt::op_unary computes both in double; the domain check
+            // is inline and the throw goes through op_unary itself.
+            act->kind = op == ast::UnOp::kUnsquar ? SpecAct::Kind::kUnsquar
+                                                  : SpecAct::Kind::kFlip;
+            act->out = SpecType::kDbl;
+            vstack_.back() = SpecType::kDbl;
+            return true;
+          default:
+            return refuse("unknown unary operator");
         }
-        return false;  // UNSQUAR/FLIP throw on bad operands: stay generic
       }
       case Op::kCast: {
-        if (n < 1) return false;
+        if (n < 1) return refuse(kBelowEntry);
         SpecType t = vstack_.back();
         auto target = spec_of(static_cast<ast::TypeKind>(in.a));
-        if (!target) return false;
+        if (!target) return refuse("cast to YARN or NOOB");
         if (*target == t) {
           act->kind = SpecAct::Kind::kCastNop;
           act->in = act->out = t;
@@ -492,15 +636,28 @@ class RegionSim {
           vstack_.back() = SpecType::kDbl;
           return true;
         }
-        return false;
+        return refuse("cast other than NUMBR to NUMBAR");
       }
       case Op::kMe:
       case Op::kMahFrenz:
-        if (n >= kMaxVstack) return false;
+        if (n >= kMaxVstack) return refuse(kStackFull);
         act->kind = in.op == Op::kMe ? SpecAct::Kind::kMe
                                      : SpecAct::Kind::kMahFrenz;
         act->out = SpecType::kInt;
         vstack_.push_back(SpecType::kInt);
+        return true;
+      case Op::kBffPush:
+        if (n < 1) return refuse(kBelowEntry);
+        if (vstack_.back() != SpecType::kInt) {
+          return refuse("target PE is not a NUMBR");
+        }
+        vstack_.pop_back();
+        act->kind = SpecAct::Kind::kBffPush;
+        act->in = SpecType::kInt;
+        return true;
+      case Op::kBffPop:
+        act->kind = SpecAct::Kind::kBffPop;
+        act->aux = in.a;
         return true;
       case Op::kJump: {
         act->kind = SpecAct::Kind::kJmp;
@@ -510,9 +667,9 @@ class RegionSim {
         return true;
       }
       case Op::kJumpIfFalse: {
-        if (n < 1) return false;
+        if (n < 1) return refuse(kBelowEntry);
         SpecType t = vstack_.back();
-        if (t == SpecType::kDbl) return false;
+        if (t == SpecType::kDbl) return refuse("branch on a NUMBAR");
         vstack_.pop_back();
         act->kind = SpecAct::Kind::kBranch;
         act->in = t;
@@ -521,7 +678,7 @@ class RegionSim {
         return true;
       }
       default:
-        return false;
+        return refuse("not specialized (runs on the VM)");
     }
   }
 
@@ -576,40 +733,52 @@ class RegionSim {
     return std::nullopt;
   }
 
-  bool arr_access(std::int32_t slot, bool store, SpecAct* act) {
-    if (local_ix_.count(slot) != 0) return false;  // scalar-tracked
+  bool arr_access(std::int32_t slot, bool store, bool remote,
+                  SpecAct* act) {
+    if (local_ix_.count(slot) != 0) return refuse("slot used as a scalar");
     const vm::DeclMeta* m = frame_decl(slot);
     // Private arrays need SRSLY (typed lanes, identity store cast);
-    // symmetric arrays are always typed 8-byte lanes, and their local
-    // accesses keep the VM's schedule_yield/sim-time behavior because
-    // the specialized helper goes through the same rt::sym_read/write.
+    // symmetric arrays are always typed 8-byte lanes, and their accesses
+    // keep the VM's schedule_yield/sim-time behavior because the
+    // specialized helper goes through the same rt::sym_read/write. UR
+    // reads need a symmetric array (the VM throws otherwise).
     if (m == nullptr || !m->is_array || (!m->symmetric && !m->srsly)) {
-      return false;
+      return refuse("not a SRSLY or symmetric array of this frame");
     }
+    if (remote && !m->symmetric) return refuse("UR on a private array");
     auto elem = spec_of(m->elem);
-    if (!elem || *elem == SpecType::kBool) return false;
-    auto it = arrs_.find(slot);
-    if (it == arrs_.end()) {
-      if (arrs_.size() >= kMaxArrs) return false;
-      arrs_[slot] = *elem;
+    if (!elem || *elem == SpecType::kBool) {
+      return refuse("array lanes are not NUMBR/NUMBAR");
+    }
+    if (arrs_.count(slot) == 0 && arrs_.size() >= kMaxArrs) {
+      return refuse("tracked-array limit");
     }
     const std::size_t n = vstack_.size();
     if (store) {
       // Stack: ... index value(top). Pops both.
-      if (n < 2 || vstack_[n - 1] != *elem ||
-          vstack_[n - 2] != SpecType::kInt) {
-        return false;
+      // A NUMBR into NUMBAR lanes converts, as the VM's lane cast does.
+      if (n < 2) return refuse(kBelowEntry);
+      SpecType v = vstack_[n - 1];
+      bool converts = v == SpecType::kInt && *elem == SpecType::kDbl;
+      if ((v != *elem && !converts) || vstack_[n - 2] != SpecType::kInt) {
+        return refuse("value or index type does not match the lanes");
       }
       vstack_.pop_back();
       vstack_.pop_back();
       act->kind = SpecAct::Kind::kArrStore;
-      act->in = *elem;
+      act->in = v;
+      act->out = *elem;
     } else {
-      if (n < 1 || vstack_[n - 1] != SpecType::kInt) return false;
+      if (n < 1) return refuse(kBelowEntry);
+      if (vstack_[n - 1] != SpecType::kInt) {
+        return refuse("index is not a NUMBR");
+      }
       vstack_.back() = *elem;
-      act->kind = SpecAct::Kind::kArrLoad;
+      act->kind = remote ? SpecAct::Kind::kArrLoadRemote
+                         : SpecAct::Kind::kArrLoad;
       act->out = *elem;
     }
+    arrs_[slot] = *elem;
     act->aux = slot;
     return true;
   }
@@ -629,6 +798,9 @@ class RegionSim {
         case SpecAct::Kind::kDeclareZero:
         case SpecAct::Kind::kArrLoad:
         case SpecAct::Kind::kArrStore:
+        case SpecAct::Kind::kArrLoadRemote:
+        case SpecAct::Kind::kUnsquar:
+        case SpecAct::Kind::kFlip:
         case SpecAct::Kind::kCastIntToDbl:
           return true;
         default:
@@ -642,9 +814,10 @@ class RegionSim {
     RegionPlan plan;
     plan.lo = lo_;
     plan.hi = hi_;
-    plan.acts = acts_;
-    plan.vstack_at = vstack_at_;
+    plan.acts = std::move(acts_);
+    plan.vstack_at = std::move(vstack_at_);
     plan.max_depth = max_depth_;
+    plan.end_reason = why_;
 
     // Locals: one bank quad each; the two hottest always-integer locals
     // get the free callee-saved GPRs (linear scan by static use count —
@@ -737,6 +910,7 @@ class RegionSim {
       }
       plan.exits.push_back(std::move(x));
     }
+    for (const SpecExit& x : internal_exits_) plan.exits.push_back(x);
     std::stable_sort(plan.exits.begin(), plan.exits.end(),
                      [](const SpecExit& a, const SpecExit& b) {
                        return a.at_pc < b.at_pc;
@@ -744,16 +918,27 @@ class RegionSim {
 
     // Step batches: one check per basic block. Leaders are the entry,
     // every jump target, every post-branch pc and every pc after a
-    // throwing specialized op (array bounds) — so a throwing op is always
-    // the last charged op of its batch and the charge is VM-exact.
+    // throwing specialized op (array bounds, UNSQUAR/FLIP domain, TXT MAH
+    // BFF range) — so a throwing op is always the last charged op of its
+    // batch and the charge is VM-exact.
     std::set<std::size_t> leaders{lo_};
     for (std::size_t pc = lo_; pc < hi_; ++pc) {
       if (pc < jump_target_.size() && jump_target_[pc]) leaders.insert(pc);
-      const SpecAct& a = acts_[pc - lo_];
-      bool ends_block = a.kind == SpecAct::Kind::kJmp ||
-                        a.kind == SpecAct::Kind::kBranch ||
-                        a.kind == SpecAct::Kind::kArrLoad ||
-                        a.kind == SpecAct::Kind::kArrStore;
+      bool ends_block = false;
+      switch (plan.acts[pc - lo_].kind) {
+        case SpecAct::Kind::kJmp:
+        case SpecAct::Kind::kBranch:
+        case SpecAct::Kind::kArrLoad:
+        case SpecAct::Kind::kArrStore:
+        case SpecAct::Kind::kArrLoadRemote:
+        case SpecAct::Kind::kUnsquar:
+        case SpecAct::Kind::kFlip:
+        case SpecAct::Kind::kBffPush:
+          ends_block = true;
+          break;
+        default:
+          break;
+      }
       if (ends_block && pc + 1 < hi_) leaders.insert(pc + 1);
     }
     for (auto it = leaders.begin(); it != leaders.end(); ++it) {
@@ -766,9 +951,8 @@ class RegionSim {
   }
 
  public:
-  /// Internal-edge resolution: branch pc -> in-region target. Exposed to
-  /// the emitter through RegionPlan? No — the emitter re-derives it from
-  /// exits: a branch with no exit at its pc is internal.
+  // The emitter needs no list of internal edges: a branch with no exit
+  // at its pc is internal.
   const vm::Chunk& chunk_;
   const FrameInfo& frame_;
   const std::vector<bool>& jump_target_;
@@ -791,9 +975,19 @@ class RegionSim {
   std::vector<std::vector<SpecType>> vstack_at_;
   std::map<std::size_t, Snap> canon_;
   std::multimap<std::size_t, std::pair<std::size_t, Snap>> pending_;
-  std::map<std::size_t, std::size_t> internal_edges_;
+  struct Join {
+    std::size_t from_pc;
+    std::size_t target;
+    Snap snap;
+    std::vector<SpecWriteback> wbs;
+  };
+
   std::vector<ExitSnap> exit_snaps_;
+  std::vector<Join> joins_;
+  std::vector<SpecExit> internal_exits_;
   std::uint32_t max_depth_ = 0;
+  std::string why_;       // why the walk stopped at hi_
+  std::string refusal_;   // step()'s reason for refusing an op
 };
 
 std::vector<FrameInfo> frame_infos(const vm::Chunk& chunk) {
@@ -901,7 +1095,8 @@ std::string describe_plan(const vm::Chunk& chunk, const SpecPlan& plan) {
           "declare-0",  "unbind",      "bin",         "not",
           "squar",      "int->numbar", "cast-nop",    "pop",
           "me",         "mah-frenz",   "arr-load",    "arr-store",
-          "jmp",        "branch"};
+          "jmp",        "branch",      "unsquar",     "flip",
+          "arr-load-ur", "bff-push",   "bff-pop"};
       os << "  pc " << pc << " " << vm::op_name(chunk.code[pc].op) << " => "
          << kActNames[static_cast<int>(a.kind)];
       if (a.kind == SpecAct::Kind::kBin) {
@@ -912,10 +1107,20 @@ std::string describe_plan(const vm::Chunk& chunk, const SpecPlan& plan) {
         if ((a.aux & kSpecBinPromoteLhs) != 0) os << " (promote lhs)";
         if ((a.aux & kSpecBinPromoteRhs) != 0) os << " (promote rhs)";
       }
+      if ((a.kind == SpecAct::Kind::kStoreLocal ||
+           a.kind == SpecAct::Kind::kDeclare) &&
+          a.in != a.out) {
+        os << " (numbr->numbar)";
+      }
       if (const SpecExit* e = r.exit_at(pc)) {
-        os << " [exit -> pc " << e->target << ", materialize "
-           << e->vstack.size() << ", writeback " << e->writebacks.size()
-           << "]";
+        if (e->internal) {
+          os << " [internal -> pc " << e->target << ", writeback "
+             << e->writebacks.size() << "]";
+        } else {
+          os << " [exit -> pc " << e->target << ", materialize "
+             << e->vstack.size() << ", writeback " << e->writebacks.size()
+             << "]";
+        }
       }
       os << "\n";
     }
@@ -924,6 +1129,7 @@ std::string describe_plan(const vm::Chunk& chunk, const SpecPlan& plan) {
          << e->vstack.size() << ", writeback " << e->writebacks.size()
          << "\n";
     }
+    os << "  ends at pc " << r.hi << ": " << r.end_reason << "\n";
     os << "  segments:";
     for (const SpecSegment& s : r.segments) {
       os << " [" << s.first_pc << "+" << s.steps << "]";

@@ -6,7 +6,7 @@
 // can prove operate on NUMBR/NUMBAR/TROOF payloads — and plans
 // machine-register homes for the virtual value stack and the hot scalar
 // locals, so the emitter (jit_emitter.hpp) can lower those ops to raw
-// x86-64 with no Value boxing and no helper call.
+// x86-64 with no Value boxing and, for arithmetic, no helper call.
 //
 // The lattice tracks, per program point inside a candidate region:
 //   - the virtual stack: relative depth and a SpecType per entry,
@@ -18,13 +18,34 @@
 // — populated by the bytecode compiler from declaration sites, and
 // sharpened by the opt pipeline's fold/prop turning computed initializers
 // into literals — tells the pass what to guard for locals that are read
-// before any in-region write.
+// before any in-region write; a SRSLY declaration's static type does the
+// same for locals written first (the VM's stype cast keeps that type in
+// the cell), so loop-carried SRSLY locals join at loop heads.
+//
+// What specializes: numeric/TROOF constants, scalar loads, stores and
+// declares (a NUMBR into a SRSLY NUMBAR converts, as Value::cast_to
+// does), IT, arithmetic and compares (NUMBR/NUMBAR mixes promote),
+// NOT, SQUAR OF, UNSQUAR OF and FLIP OF (inline domain check; the error
+// is rt::op_unary's), NUMBR->NUMBAR casts, ME, MAH FRENZ, jumps and
+// branches, indexed loads/stores of SRSLY private and symmetric arrays,
+// UR indexed loads of symmetric arrays, and TXT MAH BFF push/pop (which
+// edit the VM's predication stack in place).
+//
+// What still ends a region: YARN/NOOB values, QUOSHUNT OF and MOD OF
+// (they throw on zero), variadic ops, casts other than the identity
+// and NUMBR->NUMBAR, dynamic (SRS) and global-frame access, scalar UR
+// access, UR stores and copies, calls and returns, VISIBLE, GIMMEH,
+// HUGZ, locks, WHATEVR/WHATEVAR, and array declarations. describe_plan
+// names the refusal for each region.
 //
 // Ops the lattice cannot prove end the region; every region exit carries a
 // materialization plan (push still-live virtual stack entries back onto
 // the real VM stack, write dirty locals back to their cells) so the VM
-// resumes on exactly the state it would have had. Step accounting is
-// planned as per-basic-block batches whose exactness contract lives in
+// resumes on exactly the state it would have had. An edge whose state
+// only knows *more* than its target's (a payload the target treats as
+// shape-only, e.g. IT at a loop head) stays internal: it writes the
+// differing slots back and jumps. Step accounting is planned as
+// per-basic-block batches whose exactness contract lives in
 // jit_emitter.cpp.
 //
 // Pure analysis, no code emission: tests pin guard placement, region
@@ -96,13 +117,21 @@ struct SpecAct {
     kMahFrenz,     // push PE count (int, from the env)
     kArrLoad,      // pop int index; helper-load slot `aux`; push `out`
     kArrStore,     // pop value (`in`), pop int index; helper-store `aux`
+                   // (lanes of type `out`: an int into NUMBAR converts)
     kJmp,          // unconditional jump (internal or exit edge)
     kBranch,       // kJumpIfFalse: pop `in` (int/bool); taken edge in
                    // target / exit list
+    kUnsquar,      // pop `in` (int/dbl); push sqrt (throws below zero)
+    kFlip,         // pop `in` (int/dbl); push 1/x (throws on zero)
+    kArrLoadRemote,// UR arr'Z i: kArrLoad on the TXT MAH BFF target PE
+    kBffPush,      // pop int target PE; push onto the predication stack
+    kBffPop,       // leave `aux` predication levels
   };
   Kind kind{};
   SpecType in = SpecType::kInt;   // operand type, where relevant
-  SpecType out = SpecType::kInt;  // result type, where relevant
+  SpecType out = SpecType::kInt;  // result type, where relevant (for
+                                  // stores/declares the stored type: a
+                                  // kInt `in` with a kDbl `out` converts)
   std::int32_t local = -1;        // index into RegionPlan::locals
   std::int32_t aux = 0;           // op-specific: BinOp, decl idx, arr slot
   std::int64_t imm = 0;           // kConst payload bits
@@ -130,11 +159,15 @@ struct SpecWriteback {
   SpecType type = SpecType::kInt;
 };
 
+/// An internal exit (`internal`) is an in-region edge whose state knows
+/// more than its target's: it runs the writebacks, keeps `vstack` live
+/// in place, and continues at `target` inside the region.
 struct SpecExit {
   std::size_t at_pc = 0;   // op owning the edge; == hi for the fallthrough
   std::size_t target = 0;  // pc the VM resumes at
   std::vector<SpecType> vstack;
   std::vector<SpecWriteback> writebacks;
+  bool internal = false;
 };
 
 /// One step-accounting batch: a basic block of `steps` specialized ops
@@ -159,6 +192,9 @@ struct RegionPlan {
   std::vector<SpecSegment> segments;
   std::int32_t bank_slots = 0;      // bank quads this region needs
   std::uint32_t max_depth = 0;      // deepest virtual stack point
+  /// Why the region ends at `hi`: the refused op and the lattice's
+  /// reason, the op budget, or the end of the frame.
+  std::string end_reason;
 
   [[nodiscard]] const SpecExit* exit_at(std::size_t pc) const {
     for (const SpecExit& e : exits) {

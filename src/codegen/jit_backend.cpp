@@ -142,14 +142,19 @@ class PeRegions final : public vm::RegionHost {
   PeRegions(const PeRegions&) = delete;
   PeRegions& operator=(const PeRegions&) = delete;
 
-  /// Flushes this PE's coverage counters, on error paths too.
+  /// Flushes this PE's coverage counters into the metrics and the PE
+  /// profile, on error paths too.
   ~PeRegions() {
     const JitSpecEnv& env = frame_.env;
     if (env.spec_ops != 0) jit_metrics().spec_ops.inc(env.spec_ops);
     if (env.deopts != 0) jit_metrics().deopts.inc(env.deopts);
+    obs::PeProfile& prof = env.ctx->pe->profile();
+    prof.jit_steps += env.spec_ops;
+    prof.region_entries += entries_;
   }
 
   std::int64_t enter(vm::Vm& vm, std::int32_t index) override {
+    ++entries_;
     const auto* base = static_cast<const std::uint8_t*>(prog_.mem_.base());
     auto entry = reinterpret_cast<JitEntryFn>(const_cast<std::uint8_t*>(base));
     const std::size_t offset =
@@ -174,6 +179,7 @@ class PeRegions final : public vm::RegionHost {
 
   const JitProgram& prog_;
   Frame frame_;
+  std::uint64_t entries_ = 0;
 };
 
 void JitProgram::run_pe(rt::ExecContext& ctx) const {

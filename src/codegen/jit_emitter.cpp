@@ -424,16 +424,8 @@ class Emitter {
     if (const SpecExit* e = r.exit_at(pc)) {
       exit_fix_.push_back(
           {at, static_cast<std::size_t>(e - r.exits.data())});
-    } else if (target >= r.hi || target < r.lo) {
-      // The walk resolved this edge "internal" by adopting its state at
-      // the target pc, but the region then ended exactly there — so the
-      // edge's state is the fallthrough exit's snapshot (adopted or
-      // snaps_equal-verified) and its stub materializes it exactly.
-      const SpecExit* f = r.exit_at(r.hi);
-      exit_fix_.push_back(
-          {at, static_cast<std::size_t>(f - r.exits.data())});
     } else {
-      reg_fix_.push_back({at, target});
+      reg_fix_.push_back({at, target});  // the analysis kept it internal
     }
   }
 
@@ -443,6 +435,7 @@ class Emitter {
     reg_fix_.clear();
     exit_fix_.clear();
     seg_recs_.clear();
+    throw_recs_.clear();
 
     // Deopt: count it and hand the displaced instruction back to the VM.
     std::size_t deopt_off = buf_.size();
@@ -515,7 +508,16 @@ class Emitter {
     std::vector<std::size_t> exit_off(r.exits.size(), 0);
     for (std::size_t ei = 0; ei < r.exits.size(); ++ei) {
       exit_off[ei] = buf_.size();
-      emit_exit_stub(r, r.exits[ei]);
+      emit_exit_stub(r, r.exits[ei], spec_off);
+    }
+    for (const ThrowRec& t : throw_recs_) {
+      // The operand failed the domain check: rt::op_unary builds (and
+      // js_unary_throw parks) exactly the VM's error.
+      patch_rel32(t.jcc_at, buf_.size());
+      if (t.xmm != 0) movsd_xx(0, t.xmm);
+      buf_.u8(0xBF); buf_.u32(static_cast<std::uint32_t>(t.op));  // edi
+      spec_call(h.unary_throw);
+      jmp_to(bail_off_);
     }
     for (const SegRec& s : seg_recs_) {
       patch_rel32(s.jl_at, buf_.size());
@@ -592,7 +594,8 @@ class Emitter {
         // kDeclare writeback replays op_declare on the real cell.
         const SpecLocal& l = r.locals[static_cast<std::size_t>(a.local)];
         std::size_t d = n - 1;
-        if (a.in == SpecType::kDbl) {
+        if (a.in != a.out) promote_int_depth(d);  // NUMBR into SRSLY NUMBAR
+        if (a.out == SpecType::kDbl) {
           if (d < kVstackRegDepth) {
             movsd_m13_x(static_cast<int>(d), bank_disp(l.bank));
           } else {
@@ -670,12 +673,43 @@ class Emitter {
       case K::kCastIntToDbl:
         promote_int_depth(n - 1);
         break;
+      case K::kUnsquar:
+      case K::kFlip:
+        emit_unsquar_flip(a, n - 1);
+        break;
       case K::kArrLoad:
+      case K::kArrLoadRemote:
         emit_arr(r, pc, a, /*store=*/false);
         break;
       case K::kArrStore:
         emit_arr(r, pc, a, /*store=*/true);
         break;
+      case K::kBffPush: {
+        const JitSpecHelpers& h = jit_spec_helpers();
+        const std::vector<SpecType>& vs = r.vstack_at[pc - r.lo];
+        spill_vstack(vs, n - 1);
+        if (n - 1 < kVstackRegDepth) {
+          mov_rr(6, 8 + static_cast<int>(n - 1));  // rsi = target PE
+        } else {
+          mov_r_m13(6, bank_disp(static_cast<std::int32_t>(n - 1)));
+        }
+        buf_.u8(0x48); buf_.u8(0x89); buf_.u8(0xDF);  // mov rdi,rbx
+        spec_call(h.bff_push);
+        buf_.u8(0x85); buf_.u8(0xC0);  // test eax,eax
+        js_bail();
+        reload_vstack(vs, n - 1);
+        break;
+      }
+      case K::kBffPop: {
+        const JitSpecHelpers& h = jit_spec_helpers();
+        const std::vector<SpecType>& vs = r.vstack_at[pc - r.lo];
+        spill_vstack(vs, n);
+        buf_.u8(0x48); buf_.u8(0x89); buf_.u8(0xDF);  // mov rdi,rbx
+        buf_.u8(0xBE); buf_.u32(static_cast<std::uint32_t>(a.aux));
+        spec_call(h.bff_pop);  // cannot throw
+        reload_vstack(vs, n);
+        break;
+      }
       case K::kJmp:
         buf_.u8(0xE9);
         route_spec_jump(r, pc, static_cast<std::size_t>(a.aux));
@@ -705,6 +739,42 @@ class Emitter {
       cvtsi2sd(4, 0);
       movsd_m13_x(4, bank_disp(static_cast<std::int32_t>(d)));
     }
+  }
+
+  /// UNSQUAR OF / FLIP OF on the value at depth `d`, in double (an int
+  /// operand converts first, as rt::op_unary's Num::as_f does). The
+  /// domain check mirrors op_unary: UNSQUAR throws only on an ordered
+  /// x < 0 (NaN and -0.0 pass to sqrtsd), FLIP only on x == ±0.0 (NaN
+  /// is unordered and passes to the divide).
+  void emit_unsquar_flip(const SpecAct& a, std::size_t d) {
+    if (a.in == SpecType::kInt) promote_int_depth(d);
+    int x = xmm_operand(d, 4);
+    buf_.u8(0x66); buf_.u8(0x0F); buf_.u8(0x57); buf_.u8(0xED);  // xorpd x5,x5
+    auto op = a.kind == SpecAct::Kind::kUnsquar ? ast::UnOp::kUnsquar
+                                                : ast::UnOp::kFlip;
+    if (op == ast::UnOp::kUnsquar) {
+      ucomisd(5, x);                 // 0 > x, ordered
+      buf_.u8(0x0F); buf_.u8(0x87);  // ja rel32 -> throw stub
+    } else {
+      ucomisd(x, 5);
+      buf_.u8(0x7A); buf_.u8(0x06);  // jp +6: NaN is not zero
+      buf_.u8(0x0F); buf_.u8(0x84);  // je rel32 -> throw stub
+    }
+    throw_recs_.push_back(
+        {buf_.size(), static_cast<std::int32_t>(op), x});
+    buf_.u32(0);
+    if (op == ast::UnOp::kUnsquar) {
+      sse_rr(0x51, x, x);  // sqrtsd x, x
+    } else {
+      double one = 1.0;
+      std::uint64_t bits;
+      std::memcpy(&bits, &one, sizeof bits);
+      movabs(0, bits);
+      movq_x_r(5, 0);
+      sse_rr(0x5E, 5, x);  // divsd xmm5, x
+      movsd_xx(x, 5);
+    }
+    xmm_store_back(d, x);
   }
 
   void emit_bin(const SpecAct& a, std::size_t n) {
@@ -782,15 +852,10 @@ class Emitter {
     gpr_store_back(dl, rl);
   }
 
-  /// Indexed array access through the bounds-checking helper. The call
-  /// clobbers every caller-saved register, so live virtual-stack entries
-  /// below the operands round-trip through their bank slots.
-  void emit_arr(const RegionPlan& r, std::size_t pc, const SpecAct& a,
-                bool store) {
-    const JitSpecHelpers& h = jit_spec_helpers();
-    const std::vector<SpecType>& vs = r.vstack_at[pc - r.lo];
-    const std::size_t n = vs.size();
-    const std::size_t live = n - (store ? 2 : 1);
+  /// Helper calls clobber every caller-saved register: the register-
+  /// resident entries among the bottom `live` of `vs` round-trip through
+  /// their bank slots (deeper ones already live there).
+  void spill_vstack(const std::vector<SpecType>& vs, std::size_t live) {
     for (std::size_t d = 0; d < live && d < kVstackRegDepth; ++d) {
       if (vs[d] == SpecType::kDbl) {
         movsd_m13_x(static_cast<int>(d),
@@ -800,6 +865,29 @@ class Emitter {
                   bank_disp(static_cast<std::int32_t>(d)));
       }
     }
+  }
+
+  void reload_vstack(const std::vector<SpecType>& vs, std::size_t live) {
+    for (std::size_t d = 0; d < live && d < kVstackRegDepth; ++d) {
+      if (vs[d] == SpecType::kDbl) {
+        movsd_x_m13(static_cast<int>(d),
+                    bank_disp(static_cast<std::int32_t>(d)));
+      } else {
+        mov_r_m13(8 + static_cast<int>(d),
+                  bank_disp(static_cast<std::int32_t>(d)));
+      }
+    }
+  }
+
+  /// Indexed array access through the bounds-checking helper (a UR load
+  /// passes remote = 1: the helper reads the TXT MAH BFF target PE).
+  void emit_arr(const RegionPlan& r, std::size_t pc, const SpecAct& a,
+                bool store) {
+    const JitSpecHelpers& h = jit_spec_helpers();
+    const std::vector<SpecType>& vs = r.vstack_at[pc - r.lo];
+    const std::size_t n = vs.size();
+    const std::size_t live = n - (store ? 2 : 1);
+    spill_vstack(vs, live);
     std::size_t di = store ? n - 2 : n - 1;  // index operand depth
     if (di < kVstackRegDepth) {
       mov_rr(2, 8 + static_cast<int>(di));  // rdx = index
@@ -808,7 +896,8 @@ class Emitter {
     }
     if (store) {
       std::size_t dv = n - 1;  // value operand depth
-      if (a.in == SpecType::kDbl) {
+      if (a.in != a.out) promote_int_depth(dv);  // NUMBR into NUMBAR lanes
+      if (a.out == SpecType::kDbl) {
         if (dv < kVstackRegDepth) {
           if (dv != 0) movsd_xx(0, static_cast<int>(dv));
         } else {
@@ -822,8 +911,12 @@ class Emitter {
     }
     buf_.u8(0x48); buf_.u8(0x89); buf_.u8(0xDF);  // mov rdi,rbx
     buf_.u8(0xBE); buf_.u32(static_cast<std::uint32_t>(a.aux));
+    if (!store) {
+      buf_.u8(0xB9);  // mov ecx, remote
+      buf_.u32(a.kind == SpecAct::Kind::kArrLoadRemote ? 1 : 0);
+    }
     std::uint64_t fn =
-        store ? (a.in == SpecType::kDbl ? h.arr_store_d : h.arr_store_i)
+        store ? (a.out == SpecType::kDbl ? h.arr_store_d : h.arr_store_i)
               : (a.out == SpecType::kDbl ? h.arr_load_d : h.arr_load_i);
     spec_call(fn);
     if (store) {
@@ -846,34 +939,20 @@ class Emitter {
         mov_m13_r(2, bank_disp(static_cast<std::int32_t>(d)));
       }
     }
-    for (std::size_t d = 0; d < live && d < kVstackRegDepth; ++d) {
-      if (vs[d] == SpecType::kDbl) {
-        movsd_x_m13(static_cast<int>(d),
-                    bank_disp(static_cast<std::int32_t>(d)));
-      } else {
-        mov_r_m13(8 + static_cast<int>(d),
-                  bank_disp(static_cast<std::int32_t>(d)));
-      }
-    }
+    reload_vstack(vs, live);
   }
 
   /// Materialize a region state for the VM: push live virtual stack
   /// entries (bottom first), write every touched local back to its cell,
-  /// then return the exit's target pc. Helper statuses bail — only
-  /// allocation can throw here, and then the program is dying anyway.
-  void emit_exit_stub(const RegionPlan& r, const SpecExit& e) {
+  /// then return the exit's target pc. An internal exit only writes back,
+  /// keeps its virtual stack, and jumps to its in-region target. Helper
+  /// statuses bail — only allocation can throw here, and then the
+  /// program is dying anyway.
+  void emit_exit_stub(const RegionPlan& r, const SpecExit& e,
+                      const std::vector<std::size_t>& spec_off) {
     const JitSpecHelpers& h = jit_spec_helpers();
-    for (std::size_t d = 0; d < e.vstack.size() && d < kVstackRegDepth;
-         ++d) {
-      if (e.vstack[d] == SpecType::kDbl) {
-        movsd_m13_x(static_cast<int>(d),
-                    bank_disp(static_cast<std::int32_t>(d)));
-      } else {
-        mov_m13_r(8 + static_cast<int>(d),
-                  bank_disp(static_cast<std::int32_t>(d)));
-      }
-    }
-    for (std::size_t d = 0; d < e.vstack.size(); ++d) {
+    spill_vstack(e.vstack, e.vstack.size());
+    for (std::size_t d = 0; !e.internal && d < e.vstack.size(); ++d) {
       buf_.u8(0x48); buf_.u8(0x89); buf_.u8(0xDF);  // mov rdi,rbx
       mov_r_m13(6, bank_disp(static_cast<std::int32_t>(d)));  // rsi = bits
       buf_.u8(0xBA);
@@ -919,6 +998,11 @@ class Emitter {
           break;
       }
     }
+    if (e.internal) {
+      reload_vstack(e.vstack, e.vstack.size());
+      jmp_to(spec_off[e.target - r.lo]);
+      return;
+    }
     ret_to_vm(static_cast<std::int64_t>(e.target));
   }
 
@@ -956,6 +1040,12 @@ class Emitter {
     std::size_t at = 0;
     std::size_t exit_ix = 0;
   };
+  // An UNSQUAR/FLIP domain check awaiting its out-of-line throw stub.
+  struct ThrowRec {
+    std::size_t jcc_at = 0;  // jcc rel32 placeholder position
+    std::int32_t op = 0;     // ast::UnOp
+    int xmm = 0;             // register holding the operand
+  };
   // One step-batch check awaiting its out-of-line slow stub.
   struct SegRec {
     std::size_t jl_at = 0;  // `jl` rel32 placeholder position
@@ -973,6 +1063,7 @@ class Emitter {
   std::vector<RegFix> reg_fix_;
   std::vector<ExitFix> exit_fix_;
   std::vector<SegRec> seg_recs_;
+  std::vector<ThrowRec> throw_recs_;
 };
 
 void key_u32(std::string& k, std::uint32_t x) {

@@ -95,8 +95,9 @@ inline constexpr std::int64_t kJitThrew = -2;
 struct JitSpecHelpers {
   std::uint64_t slow = 0;       // i64(Vm*, JitSpecEnv*, i64 k) -> fuel
   std::uint64_t guard = 0;      // i32(Vm*, i32 slot, i32 kind, i64* bank)
-  std::uint64_t arr_load_i = 0; // {i64 status, i64 v}(Vm*, i32, i64)
-  std::uint64_t arr_load_d = 0; // {i64 status, f64 v}(Vm*, i32, i64)
+  std::uint64_t arr_load_i = 0; // {i64 status, i64 v}(Vm*, i32 slot,
+                                //   i64 idx, i32 remote)
+  std::uint64_t arr_load_d = 0; // {i64 status, f64 v}(same)
   std::uint64_t arr_store_i = 0;// i32(Vm*, i32 slot, i64 idx, i64 v)
   std::uint64_t arr_store_d = 0;// i32(Vm*, i32 slot, i64 idx, f64 v)
   std::uint64_t push = 0;       // i32(Vm*, i64 bits, i32 type)
@@ -104,6 +105,9 @@ struct JitSpecHelpers {
   std::uint64_t wb_decl = 0;    // i32(Vm*, i32 decl, i64 bits, i32 type)
   std::uint64_t wb_unbind = 0;  // i32(Vm*, i32 slot)
   std::uint64_t wb_it = 0;      // i32(Vm*, i64 bits, i32 type)
+  std::uint64_t bff_push = 0;   // i32(Vm*, i64 target)
+  std::uint64_t bff_pop = 0;    // void(Vm*, i32 levels)
+  std::uint64_t unary_throw = 0;// i32(i32 op, f64 x): always parks
 };
 const JitSpecHelpers& jit_spec_helpers();
 

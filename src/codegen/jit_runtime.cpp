@@ -1,15 +1,18 @@
 // The runtime surface of the JIT's specialized regions (JitSpecAccess):
-// region-entry type guards, batched step accounting, SRSLY-array element
-// access, and the exit-path materialization that rebuilds VM state from
-// register/bank values. Every error these raise uses the exact strings
-// the Vm methods use, so a program that dies inside a region dies with a
-// byte-identical message. Emitted code has no unwind tables, so the
-// extern wrappers convert any C++ exception into a negative status with
-// the exception parked in a thread-local; jit_backend.cpp rethrows it.
+// region-entry type guards, batched step accounting, SRSLY- and
+// symmetric-array element access (UR loads included), TXT MAH BFF
+// predication, the UNSQUAR/FLIP domain errors, and the exit-path
+// materialization that rebuilds VM state from register/bank values.
+// Every error these raise uses the exact strings the Vm methods use, so a
+// program that dies inside a region dies with a byte-identical message.
+// Emitted code has no unwind tables, so the extern wrappers convert any
+// C++ exception into a negative status with the exception parked in a
+// thread-local; jit_backend.cpp rethrows it.
 #include <algorithm>
 
 #include "codegen/jit_analysis.hpp"
 #include "codegen/jit_emitter.hpp"
+#include "rt/ops.hpp"
 #include "vm/vm.hpp"
 
 namespace lol::vm {
@@ -91,10 +94,12 @@ struct JitSpecAccess {
   }
 
   /// Bounds-checked array element read. The guard proved shape and
-  /// element type; only the index can fail, with the Vm's exact message.
+  /// element type; only the index (or, for UR, a missing TXT MAH BFF)
+  /// can fail, with the Vm's exact message and in Vm::load_cell's order.
   /// The symmetric branch goes through rt::sym_read like Vm::load_cell,
   /// so its schedule_yield choice point and sim-time charge survive.
-  static rt::Value arr_load(Vm& vm, std::int32_t slot, std::int64_t idx) {
+  static rt::Value arr_load(Vm& vm, std::int32_t slot, std::int64_t idx,
+                            bool remote) {
     Vm::Cell& c = vm.frames_.back().slots[static_cast<std::size_t>(slot)];
     if (c.sym) {
       if (idx < 0 || static_cast<std::size_t>(idx) >= c.sym->count) {
@@ -103,7 +108,8 @@ struct JitSpecAccess {
                                     std::to_string(c.sym->count) + ")");
       }
       return rt::sym_read(*vm.ctx_.pe, *c.sym,
-                          static_cast<std::size_t>(idx), -1);
+                          static_cast<std::size_t>(idx),
+                          remote ? vm.current_bff() : -1);
     }
     rt::PrivateArray& arr = *c.arr;
     if (idx < 0 || static_cast<std::size_t>(idx) >= arr.elems.size()) {
@@ -146,7 +152,8 @@ struct JitSpecAccess {
 
   /// Exit writeback of a scalar store. Replicates Vm::store_cell's bound
   /// scalar tail; the stype cast is the identity (the analysis only
-  /// specializes stores whose type matches any SRSLY declared type).
+  /// specializes stores whose type matches any SRSLY declared type, and
+  /// a region converts a NUMBR bound for a SRSLY NUMBAR before storing).
   static void wb_store(Vm& vm, std::int32_t slot, std::int64_t bits,
                        ST type) {
     Vm::Cell& c =
@@ -180,6 +187,12 @@ struct JitSpecAccess {
   static void wb_it(Vm& vm, std::int64_t bits, ST type) {
     vm.frames_.back().it = value_of(bits, type);
   }
+
+  static void bff_push(Vm& vm, std::int64_t target) {
+    vm.push_bff(target);
+  }
+
+  static void bff_pop(Vm& vm, std::int32_t levels) { vm.op_bff_pop(levels); }
 
   static const Chunk& chunk(const Vm& vm) { return vm.chunk_; }
 };
@@ -242,18 +255,22 @@ struct SpecRetD {
   double value;         // xmm0
 };
 
-SpecRetI js_arr_load_i(Vm* vm, std::int32_t slot, std::int64_t idx) {
+SpecRetI js_arr_load_i(Vm* vm, std::int32_t slot, std::int64_t idx,
+                       std::int32_t remote) {
   try {
-    return {0, JitSpecAccess::arr_load(*vm, slot, idx).numbr_raw()};
+    return {0,
+            JitSpecAccess::arr_load(*vm, slot, idx, remote != 0).numbr_raw()};
   } catch (...) {
     detail::jit_pending() = std::current_exception();
     return {-1, 0};
   }
 }
 
-SpecRetD js_arr_load_d(Vm* vm, std::int32_t slot, std::int64_t idx) {
+SpecRetD js_arr_load_d(Vm* vm, std::int32_t slot, std::int64_t idx,
+                       std::int32_t remote) {
   try {
-    return {0, JitSpecAccess::arr_load(*vm, slot, idx).numbar_raw()};
+    return {0,
+            JitSpecAccess::arr_load(*vm, slot, idx, remote != 0).numbar_raw()};
   } catch (...) {
     detail::jit_pending() = std::current_exception();
     return {-1, 0.0};
@@ -324,6 +341,32 @@ std::int32_t js_wb_it(Vm* vm, std::int64_t bits, std::int32_t type) {
   return 0;
 }
 
+std::int32_t js_bff_push(Vm* vm, std::int64_t target) {
+  try {
+    JitSpecAccess::bff_push(*vm, target);
+    return 0;
+  } catch (...) {
+    detail::jit_pending() = std::current_exception();
+    return -1;
+  }
+}
+
+void js_bff_pop(Vm* vm, std::int32_t levels) {
+  JitSpecAccess::bff_pop(*vm, levels);  // shrinks bff_: cannot throw
+}
+
+/// Reached only when the inline domain check failed, so rt::op_unary
+/// throws its own message for the same operand.
+std::int32_t js_unary_throw(std::int32_t op, double x) {
+  try {
+    (void)rt::op_unary(static_cast<ast::UnOp>(op), rt::Value::numbar(x));
+    throw support::RuntimeError("internal: unary domain check disagrees");
+  } catch (...) {
+    detail::jit_pending() = std::current_exception();
+    return -1;
+  }
+}
+
 }  // namespace
 
 const JitSpecHelpers& jit_spec_helpers() {
@@ -340,6 +383,9 @@ const JitSpecHelpers& jit_spec_helpers() {
     t.wb_decl = reinterpret_cast<std::uint64_t>(&js_wb_decl);
     t.wb_unbind = reinterpret_cast<std::uint64_t>(&js_wb_unbind);
     t.wb_it = reinterpret_cast<std::uint64_t>(&js_wb_it);
+    t.bff_push = reinterpret_cast<std::uint64_t>(&js_bff_push);
+    t.bff_pop = reinterpret_cast<std::uint64_t>(&js_bff_pop);
+    t.unary_throw = reinterpret_cast<std::uint64_t>(&js_unary_throw);
     return t;
   }();
   return h;

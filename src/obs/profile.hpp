@@ -35,6 +35,10 @@ struct PeProfile {
   /// LOL_OBS_RUNTIME_METRICS): replay verification compares these counts
   /// against a recorded trace to detect divergence in every build.
   std::uint64_t rng_draws = 0;
+  /// JIT dynamic coverage (Backend::kJit): the share of `steps` retired
+  /// inside specialized regions, and how many times the VM entered one.
+  std::uint64_t jit_steps = 0;
+  std::uint64_t region_entries = 0;
 
   PeProfile& operator+=(const PeProfile& o) {
     steps += o.steps;
@@ -45,6 +49,8 @@ struct PeProfile {
     lock_wait_ns += o.lock_wait_ns;
     gimmeh_blocks += o.gimmeh_blocks;
     rng_draws += o.rng_draws;
+    jit_steps += o.jit_steps;
+    region_entries += o.region_entries;
     return *this;
   }
 };

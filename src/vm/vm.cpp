@@ -412,8 +412,9 @@ void Vm::op_whatevar() { push(Value::numbar(ctx_.rng_numbar())); }
 
 void Vm::op_hugz() { ctx_.pe->barrier_all(); }
 
-void Vm::op_bff_push() {
-  std::int64_t target = pop().to_numbr();
+void Vm::op_bff_push() { push_bff(pop().to_numbr()); }
+
+void Vm::push_bff(std::int64_t target) {
   if (target < 0 || target >= ctx_.pe->n_pes()) {
     throw RuntimeError("TXT MAH BFF " + std::to_string(target) +
                        ": no such PE (MAH FRENZ = " +

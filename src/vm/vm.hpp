@@ -139,6 +139,8 @@ class Vm {
                   rt::Value v, const NameRef& name);
 
   int current_bff() const;
+  /// TXT MAH BFF `target`: range-checks and enters predication.
+  void push_bff(std::int64_t target);
 
   const Chunk& chunk_;
   rt::ExecContext& ctx_;

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "codegen/jit_backend.hpp"
 #include "driver/cli.hpp"
 
 #ifndef LOLRUN_BIN
@@ -209,6 +210,64 @@ TEST(LolrunCli, ProfileFlagPrintsPerPeTable) {
     }
   }
   EXPECT_EQ(rows, 2) << r.output;
+}
+
+/// The numeric cells of the one-PE profile row: steps, barriers,
+/// barrier_ms, locks, lock_ms, gimmeh, jit_steps, region_entries.
+std::vector<double> profile_row(const std::string& output) {
+  std::vector<double> cells;
+  std::istringstream lines(output);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("[profile]", 0) != 0 ||
+        line.find("steps") != std::string::npos ||
+        line.find("claim") != std::string::npos) {
+      continue;
+    }
+    std::istringstream row(line.substr(std::strlen("[profile]")));
+    double pe = 0;
+    row >> pe;
+    for (double v; row >> v;) cells.push_back(v);
+    break;
+  }
+  return cells;
+}
+
+TEST(LolrunCli, ProfileReportsJitCoverage) {
+  // jit_steps counts the steps retired inside specialized regions (a
+  // share of `steps`), region_entries how often the VM entered one. A
+  // plain VM run reports zero for both.
+  std::string path = write_program(
+      "profjit",
+      "HAI 1.2\n"
+      "I HAS A acc ITZ SRSLY A NUMBAR AN ITZ 0.0\n"
+      "IM IN YR l UPPIN YR i TIL BOTH SAEM i AN 500\n"
+      "  acc R SUM OF acc AN UNSQUAR OF i\n"
+      "IM OUTTA YR l\n"
+      "VISIBLE acc\n"
+      "KTHXBYE\n");
+  auto vm = run_cmd(std::string(LOLRUN_BIN) + " --profile " + path);
+  ASSERT_EQ(vm.status, 0) << vm.output;
+  EXPECT_NE(vm.output.find("jit_steps"), std::string::npos) << vm.output;
+  EXPECT_NE(vm.output.find("region_entries"), std::string::npos)
+      << vm.output;
+  std::vector<double> v = profile_row(vm.output);
+  ASSERT_EQ(v.size(), 8u) << vm.output;
+  EXPECT_EQ(v[6], 0.0) << vm.output;
+  EXPECT_EQ(v[7], 0.0) << vm.output;
+
+  if (!lol::codegen::jit_available()) GTEST_SKIP() << "jit unavailable";
+  auto jit = run_cmd(std::string(LOLRUN_BIN) + " --backend jit --profile " +
+                     path);
+  ASSERT_EQ(jit.status, 0) << jit.output;
+  std::vector<double> j = profile_row(jit.output);
+  ASSERT_EQ(j.size(), 8u) << jit.output;
+  EXPECT_EQ(j[0], v[0]) << "steps differ from the VM's\n" << jit.output;
+  EXPECT_GT(j[6], 0.9 * j[0]) << "the loop did not run in a region\n"
+                              << jit.output;
+  EXPECT_LE(j[6], j[0]) << jit.output;
+  EXPECT_GE(j[7], 1.0) << jit.output;
+  EXPECT_LE(j[7], 3.0) << "the loop re-entered its region per iteration\n"
+                       << jit.output;
 }
 
 TEST(LolrunCli, ProfiledStepsAgreeWithTheStepBudget) {

@@ -338,23 +338,27 @@ int main(int argc, char** argv) {
     if (profile) {
       // Profile goes to stderr even for failed runs: a step-limited job
       // is exactly when the per-PE step counts matter.
+      // jit_steps/region_entries are the JIT's dynamic coverage: steps
+      // retired in specialized regions (of `steps`) and region entries.
       std::fprintf(stderr,
                    "[profile] setup=%.3fms claim=%.3fms exec=%.3fms\n"
-                   "[profile] %6s %12s %10s %12s %8s %10s %8s\n",
+                   "[profile] %6s %12s %10s %12s %8s %10s %8s %12s %14s\n",
                    result.setup_ms, result.claim_ms, result.exec_ms, "pe",
-                   "steps",
-                   "barriers", "barrier_ms", "locks", "lock_ms", "gimmeh");
+                   "steps", "barriers", "barrier_ms", "locks", "lock_ms",
+                   "gimmeh", "jit_steps", "region_entries");
       for (std::size_t i = 0; i < result.pe_profiles.size(); ++i) {
         const lol::obs::PeProfile& p = result.pe_profiles[i];
         std::fprintf(stderr,
                      "[profile] %6zu %12llu %10llu %12.3f %8llu %10.3f"
-                     " %8llu\n",
+                     " %8llu %12llu %14llu\n",
                      i, static_cast<unsigned long long>(p.steps),
                      static_cast<unsigned long long>(p.barrier_crossings),
                      static_cast<double>(p.barrier_wait_ns) / 1e6,
                      static_cast<unsigned long long>(p.lock_acquires),
                      static_cast<double>(p.lock_wait_ns) / 1e6,
-                     static_cast<unsigned long long>(p.gimmeh_blocks));
+                     static_cast<unsigned long long>(p.gimmeh_blocks),
+                     static_cast<unsigned long long>(p.jit_steps),
+                     static_cast<unsigned long long>(p.region_entries));
       }
     }
     if (!result.ok) {
