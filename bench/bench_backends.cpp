@@ -12,9 +12,11 @@
 #include <cstdlib>
 
 #include "bench_common.hpp"
-#include "codegen/c_emitter.hpp"
-#include "core/paper_programs.hpp"
 #include "driver/cli.hpp"
+
+#ifndef LCC_BIN
+#define LCC_BIN "lcc"
+#endif
 
 namespace {
 
@@ -60,26 +62,24 @@ void BM_Vm(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kOuter * 100);
 }
 
-/// The lcc pipeline, if an `lcc` binary is reachable (built in ../tools).
+/// The lcc pipeline through the `lcc` built alongside this bench.
 /// Compiles once in setup, then benchmarks the resulting executable.
 void BM_LccNative(benchmark::State& state) {
   static std::string exe = [] {
-    std::string lcc = "./tools/lcc";
-    if (!lol::driver::read_file(lcc)) lcc = "./build/tools/lcc";
-    if (!lol::driver::read_file(lcc)) return std::string();
     std::string dir = "/tmp/parallol_bench";
     (void)std::system(("mkdir -p " + dir).c_str());
     std::string lol = dir + "/w.lol";
     std::string x = dir + "/w.x";
     if (!lol::driver::write_file(lol, workload(kOuter))) return std::string();
-    if (std::system((lcc + " " + lol + " -o " + x + " >/dev/null 2>&1")
+    if (std::system((std::string(LCC_BIN) + " " + lol + " -o " + x +
+                     " >/dev/null 2>&1")
                         .c_str()) != 0) {
       return std::string();
     }
     return x;
   }();
   if (exe.empty()) {
-    state.SkipWithError("lcc binary not found (run from the build dir)");
+    state.SkipWithError("lcc failed to build the workload (no host cc?)");
     return;
   }
   for (auto _ : state) {

@@ -1,13 +1,11 @@
-// Experiment A6 — cold-compile latency: Backend::kJit vs the cc+dlopen
-// native pipeline.
+// Experiment A6 — cold-compile latency: Backend::kJit against the VM.
 //
 // The service's cold path is "new source arrives, nothing is cached":
-// the native backend forks the host C toolchain (~100ms of fork/exec,
-// cc, dlopen), the JIT lowers the bytecode chunk in-process (emit +
-// mmap/mprotect). The claim under test: the JIT's cold compile+first-run
-// is >= 10x faster than cc+dlopen for classroom-sized programs. Every
-// iteration uses a fresh, never-before-seen source so both the
-// single-flight caches and the per-program memos miss — this measures
+// the JIT lowers the bytecode chunk in-process (emit + mmap/mprotect),
+// the VM runs the chunk with no backend build at all. The question is
+// how much of a classroom-sized program's first run the JIT's emit
+// costs. Every iteration uses a fresh, never-before-seen source so the
+// single-flight cache and the per-program memos miss — this measures
 // the miss path, nothing else.
 //
 // (Warm columns are in bench_backends.cpp; steady-state throughput is
@@ -18,7 +16,6 @@
 
 #include "bench_common.hpp"
 #include "codegen/jit_backend.hpp"
-#include "codegen/native_backend.hpp"
 
 namespace {
 
@@ -62,14 +59,6 @@ void cold_run(benchmark::State& state, lol::Backend backend) {
   }
 }
 
-void BM_ColdNative(benchmark::State& state) {
-  if (!lol::codegen::native_available()) {
-    state.SkipWithError("no host C compiler");
-    return;
-  }
-  cold_run(state, lol::Backend::kNative);
-}
-
 void BM_ColdJit(benchmark::State& state) {
   if (!lol::codegen::jit_available()) {
     state.SkipWithError("jit unavailable (non-x86-64 or LOL_JIT=0)");
@@ -86,15 +75,13 @@ void BM_ColdVm(benchmark::State& state) {
 
 }  // namespace
 
-BENCHMARK(BM_ColdNative)->Unit(benchmark::kMillisecond)->MinTime(0.5);
 BENCHMARK(BM_ColdJit)->Unit(benchmark::kMillisecond)->MinTime(0.5);
 BENCHMARK(BM_ColdVm)->Unit(benchmark::kMillisecond)->MinTime(0.5);
 
 int main(int argc, char** argv) {
   bench::banner("A6 (cold compiles)",
                 "Cold compile+first-run latency on a fresh source: "
-                "cc+dlopen native pipeline vs in-process x86-64 JIT "
-                "(acceptance: jit >= 10x faster cold).");
+                "in-process x86-64 JIT vs the VM's zero-build floor.");
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -1,11 +1,10 @@
 // Experiment J1 — the JIT's specialized regions against the VM they run
-// inside, and against native C.
+// inside.
 //
 // The paper's §VI kernels (1-D heat stencil, n-body accumulation),
-// reduced to their inner loops, on three execution variants:
+// reduced to their inner loops, on two execution variants:
 //   vm      — bytecode VM (the semantic reference)
 //   jit     — the VM with its type-specialized regions in machine code
-//   native  — Backend::kNative (lcc-emitted C via the host cc)
 // These are probes of one layer; the end-to-end numbers on the
 // unreduced paper programs live in e2ebench/. The PaperNbody rows are the
 // exception: the unmodified §VI.D listing at the paper's size, on 2 PEs,
@@ -15,7 +14,6 @@
 
 #include "bench_common.hpp"
 #include "codegen/jit_backend.hpp"
-#include "codegen/native_backend.hpp"
 #include "core/paper_programs.hpp"
 
 namespace {
@@ -90,17 +88,12 @@ void run_variant(benchmark::State& state, const std::string& src,
     state.SkipWithError("jit unavailable on this host");
     return;
   }
-  if (backend == lol::Backend::kNative &&
-      !lol::codegen::native_available()) {
-    state.SkipWithError("no host cc for the native backend");
-    return;
-  }
   auto prog = bench::compile_once(src);
   lol::RunConfig cfg;
   cfg.backend = backend;
   cfg.n_pes = n_pes;
-  // Warm the code caches outside the timed loop (native pays a cc fork
-  // on the cold run).
+  // Warm the code caches outside the timed loop (the JIT emits on the
+  // cold run).
   if (!lol::run(prog, cfg).ok) {
     state.SkipWithError("warmup run failed");
     return;
@@ -121,18 +114,12 @@ void BM_Heat_Vm(benchmark::State& s) {
 void BM_Heat_JitSpecialized(benchmark::State& s) {
   run_variant(s, heat_kernel(kSweeps), lol::Backend::kJit, kHeatItems);
 }
-void BM_Heat_Native(benchmark::State& s) {
-  run_variant(s, heat_kernel(kSweeps), lol::Backend::kNative, kHeatItems);
-}
 
 void BM_Nbody_Vm(benchmark::State& s) {
   run_variant(s, nbody_kernel(kPairs), lol::Backend::kVm, kPairs);
 }
 void BM_Nbody_JitSpecialized(benchmark::State& s) {
   run_variant(s, nbody_kernel(kPairs), lol::Backend::kJit, kPairs);
-}
-void BM_Nbody_Native(benchmark::State& s) {
-  run_variant(s, nbody_kernel(kPairs), lol::Backend::kNative, kPairs);
 }
 
 // Pair interactions one PE evaluates: its particles against every
@@ -156,12 +143,10 @@ BENCHMARK(BM_Heat_Vm)->Unit(benchmark::kMillisecond)->MinTime(0.2);
 BENCHMARK(BM_Heat_JitSpecialized)
     ->Unit(benchmark::kMillisecond)
     ->MinTime(0.2);
-BENCHMARK(BM_Heat_Native)->Unit(benchmark::kMillisecond)->MinTime(0.2);
 BENCHMARK(BM_Nbody_Vm)->Unit(benchmark::kMillisecond)->MinTime(0.2);
 BENCHMARK(BM_Nbody_JitSpecialized)
     ->Unit(benchmark::kMillisecond)
     ->MinTime(0.2);
-BENCHMARK(BM_Nbody_Native)->Unit(benchmark::kMillisecond)->MinTime(0.2);
 BENCHMARK(BM_PaperNbody_Vm)->Unit(benchmark::kMillisecond)->MinTime(0.2);
 BENCHMARK(BM_PaperNbody_JitSpecialized)
     ->Unit(benchmark::kMillisecond)
@@ -176,7 +161,7 @@ int main(int argc, char** argv) {
   }
   if (!json) {
     bench::banner("J1 (specialized JIT regions)",
-                  "JIT vs VM vs native on the SVI heat and n-body inner "
+                  "JIT vs VM on the SVI heat and n-body inner "
                   "loops (items = inner-loop iterations), and JIT vs VM "
                   "on the unreduced SVI.D n-body (items = pair "
                   "interactions per PE).");

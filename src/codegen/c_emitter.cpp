@@ -24,8 +24,8 @@ enum class CT { kI64, kF64, kLolv };
 struct VarInfo {
   enum class Kind {
     kDyn,        // lolv
-    kNativeI64,  // long long
-    kNativeF64,  // double
+    kI64,        // long long
+    kF64,        // double
     kDynArr,     // lolv* + count
     kI64Arr,     // long long* + count
     kF64Arr,     // double* + count
@@ -191,10 +191,10 @@ class Emitter {
       return info;
     }
     if (d.srsly && d.declared_type == ast::TypeKind::kNumbar) {
-      info.kind = VarInfo::Kind::kNativeF64;
+      info.kind = VarInfo::Kind::kF64;
       info.stype = ast::TypeKind::kNumbar;
     } else if (d.srsly && d.declared_type == ast::TypeKind::kNumbr) {
-      info.kind = VarInfo::Kind::kNativeI64;
+      info.kind = VarInfo::Kind::kI64;
       info.stype = ast::TypeKind::kNumbr;
     } else {
       info.kind = VarInfo::Kind::kDyn;
@@ -222,10 +222,10 @@ class Emitter {
         case VarInfo::Kind::kDyn:
           header_ << "  lolv " << v.c_name << ";\n";
           break;
-        case VarInfo::Kind::kNativeI64:
+        case VarInfo::Kind::kI64:
           header_ << "  long long " << v.c_name << ";\n";
           break;
-        case VarInfo::Kind::kNativeF64:
+        case VarInfo::Kind::kF64:
           header_ << "  double " << v.c_name << ";\n";
           break;
         case VarInfo::Kind::kDynArr:
@@ -314,7 +314,6 @@ class Emitter {
   }
 
   void emit_c_main() {
-    if (!opts_.emit_main) return;
     raw("int main(int argc, char** argv) {\n");
     raw("  return lolrt_run_main(argc, argv, lol_user_main, " +
         std::to_string(analysis_.lock_count) + ");\n");
@@ -669,14 +668,14 @@ class Emitter {
       // Reads are materialized into temporaries so sibling operands with
       // side effects cannot reorder against them (LOLCODE evaluates
       // strictly left to right).
-      case VarInfo::Kind::kNativeI64: {
+      case VarInfo::Kind::kI64: {
         if (remote) break;
         ct = CT::kI64;
         std::string t = temp();
         line("long long " + t + " = " + vref(v) + ";");
         return t;
       }
-      case VarInfo::Kind::kNativeF64: {
+      case VarInfo::Kind::kF64: {
         if (remote) break;
         ct = CT::kF64;
         std::string t = temp();
@@ -834,11 +833,11 @@ class Emitter {
                box(atom, ct) + ");");
         }
         return;
-      case VarInfo::Kind::kNativeI64:
+      case VarInfo::Kind::kI64:
         if (remote) break;
         line(vref(v) + " = " + to_i64(atom, ct) + ";");
         return;
-      case VarInfo::Kind::kNativeF64:
+      case VarInfo::Kind::kF64:
         if (remote) break;
         line(vref(v) + " = " + to_f64(atom, ct) + ";");
         return;
@@ -1118,17 +1117,17 @@ class Emitter {
         }
         return;
       }
-      case VarInfo::Kind::kNativeI64:
-      case VarInfo::Kind::kNativeF64: {
-        std::string init = v.kind == VarInfo::Kind::kNativeF64 ? "0.0" : "0";
+      case VarInfo::Kind::kI64:
+      case VarInfo::Kind::kF64: {
+        std::string init = v.kind == VarInfo::Kind::kF64 ? "0.0" : "0";
         if (d.init) {
           CT ct;
           std::string atom = emit_expr(*d.init, ct);
-          init = v.kind == VarInfo::Kind::kNativeF64 ? to_f64(atom, ct)
+          init = v.kind == VarInfo::Kind::kF64 ? to_f64(atom, ct)
                                                      : to_i64(atom, ct);
         }
         const char* ty =
-            v.kind == VarInfo::Kind::kNativeF64 ? "double " : "long long ";
+            v.kind == VarInfo::Kind::kF64 ? "double " : "long long ";
         line((is_global ? "" : std::string(ty)) + vref(v) + " = " + init +
              ";");
         return;

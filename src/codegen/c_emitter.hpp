@@ -21,15 +21,11 @@ namespace lol::codegen {
 /// Options controlling emission.
 struct EmitOptions {
   std::string source_name = "<input>";  // for the banner comment
-
-  /// Emit the C `main` calling lolrt_run_main (the standalone lcc
-  /// executable flow). The in-process native backend turns this off and
-  /// dlsym()s `lol_user_main` out of a shared object instead.
-  bool emit_main = true;
 };
 
 /// Emits a self-contained C translation unit. The result defines
-/// `void lol_user_main(lolrt_pe* pe)` plus any user functions, and can be
+/// `void lol_user_main(lolrt_pe* pe)`, any user functions and a `main`
+/// calling lolrt_run_main, and can be
 /// compiled with any C99 compiler given lolrt_c.h on the include path.
 /// Throws support::SemaError for constructs that cannot be lowered.
 std::string emit_c(const ast::Program& program,

@@ -23,8 +23,8 @@ struct JitBuild {
   std::string error;
 };
 
-/// Same capacity rationale as the native object cache: daemon clients
-/// choose sources, so the emitted-code map must be bounded. Eviction only
+/// Bounded: daemon clients choose sources, so an unbounded emitted-code
+/// map would be client-controlled memory growth. Eviction only
 /// drops the cache's reference — in-flight runs and JitSlot memos hold
 /// the shared_ptr, and the ExecMem unmaps when the last one releases.
 SingleFlight<JitBuild>& jit_cache() {

@@ -70,7 +70,7 @@ class JitProgram {
   JitEmitInfo info_;
 };
 
-/// Per-CompiledProgram memo mirroring NativeSlot/VmSlot: filled under its
+/// Per-CompiledProgram memo mirroring VmSlot: filled under its
 /// own lock on the first Backend::kJit run so warm runs skip the cache
 /// key serialization.
 struct JitSlot {

@@ -42,8 +42,8 @@ void ExecMem::release() {
 bool ExecMem::supported() {
 #if LOL_JIT_HAVE_MMAP
   // Probe once: some hardened kernels (PaX MPROTECT, SELinux deny_execmem)
-  // refuse the RW -> RX flip, in which case the engine silently falls back
-  // to the cc+dlopen backend.
+  // refuse the RW -> RX flip, in which case --backend jit silently runs
+  // the plain VM.
   static const bool ok = [] {
     long page = sysconf(_SC_PAGESIZE);
     if (page <= 0) return false;

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "codegen/native_backend.hpp"
+#include "driver/cli.hpp"
 #include "rt/exec_context.hpp"
 #include "rt/io.hpp"
 #include "rt/objects.hpp"
@@ -321,8 +322,8 @@ void lolrt_visible(lolrt_pe* pe, int n, const lolv* xs, int newline,
 lolv lolrt_gimmeh(lolrt_pe* pe) {
   LOLRT_TRY
   // ExecContext::read_line polls the input source with a bounded wait, so
-  // an external abort interrupts native code blocked on input exactly as
-  // it does on the interpreter and VM backends.
+  // an abort interrupts generated code blocked on input exactly as it
+  // does on the interpreter and VM backends.
   auto line = pe->ctx->read_line();
   return from_value(pe, Value::yarn(line.value_or("")));
   LOLRT_END(pe)
@@ -555,54 +556,50 @@ void lolrt_fail(lolrt_pe* pe, const char* msg) {
 }
 
 int lolrt_run_main(int argc, char** argv, lolrt_main_fn fn, int n_locks) {
-  int n_pes = 1;
-  unsigned long long seed = 20170529ULL;
-  unsigned long long max_steps = 0;  // 0 = unlimited
-  size_t heap = 1 << 20;
-  bool tag = false;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if ((arg == "-np" || arg == "--np") && i + 1 < argc) {
-      n_pes = std::atoi(argv[++i]);
-    } else if (arg == "--seed" && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--heap" && i + 1 < argc) {
-      heap = static_cast<size_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (arg == "--max-steps" && i + 1 < argc) {
-      max_steps = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--tag") {
-      tag = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [-np N] [--seed S] [--heap B] [--max-steps S] "
-                   "[--tag]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
-  if (n_pes < 1) {
-    std::fprintf(stderr, "error: -np must be >= 1\n");
+  // Flags parse strictly, with lolrun's ranges: a malformed or
+  // out-of-range value prints why and exits 2 before any PE starts.
+  lol::driver::Cli cli(argc, argv);
+  const int n_pes = static_cast<int>(
+      cli.int_option("-np", 1, lol::shmem::kMaxPes, "--np").value_or(1));
+  const std::uint64_t seed = cli.uint_option("--seed").value_or(20170529ULL);
+  const std::uint64_t heap = cli.uint_option("--heap").value_or(1 << 20);
+  const std::uint64_t max_steps =
+      cli.uint_option("--max-steps").value_or(0);  // 0 = unlimited
+  const bool tag = cli.has_flag("--tag");
+  if (!cli.positional().empty()) {
+    std::fprintf(stderr,
+                 "usage: %s [-np N] [--seed S] [--heap B] [--max-steps S] "
+                 "[--tag]\n",
+                 argv[0]);
     return 2;
   }
 
   lol::shmem::Config cfg;
   cfg.n_pes = n_pes;
-  cfg.heap_bytes = heap;
+  cfg.heap_bytes = static_cast<std::size_t>(heap);
   cfg.n_locks = n_locks;
-  lol::shmem::Runtime runtime(cfg);
   lol::rt::StdioSink sink(tag);
   lol::rt::StdinInput input;
 
   std::atomic<bool> step_limited{false};
-  lol::shmem::LaunchResult lr = runtime.launch([&](lol::shmem::Pe& pe) {
-    lol::rt::ExecContext ctx(pe, seed, sink, input, max_steps);
-    try {
-      lol::codegen::run_native_pe(fn, ctx);
-    } catch (const lol::support::StepLimitError&) {
-      step_limited.store(true, std::memory_order_relaxed);
-      throw;  // launch captures it as this PE's error and aborts peers
-    }
-  });
+  lol::shmem::LaunchResult lr;
+  try {
+    lol::shmem::Runtime runtime(cfg);
+    lr = runtime.launch([&](lol::shmem::Pe& pe) {
+      lol::rt::ExecContext ctx(pe, seed, sink, input, max_steps);
+      try {
+        lol::codegen::run_native_pe(fn, ctx);
+      } catch (const lol::support::StepLimitError&) {
+        step_limited.store(true, std::memory_order_relaxed);
+        throw;  // launch captures it as this PE's error and aborts peers
+      }
+    });
+  } catch (const std::exception& e) {
+    // A heap that cannot be mapped, or a thread that cannot be spawned:
+    // no PE ran, so report it like a runtime error.
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 
   if (!lr.ok) {
     for (const auto& e : lr.errors) {
@@ -619,11 +616,10 @@ int lolrt_run_main(int argc, char** argv, lolrt_main_fn fn, int n_locks) {
 
 namespace lol::codegen {
 
-// Bridges one PE of generated C onto an engine-owned ExecContext. The
-// lolrt_pe is constructed before setjmp and only read after the longjmp
-// returns, matching the discipline lolrt_run_main always used; the
-// stored failure is rethrown as the exception type the engine (and the
-// Service's status classification) expects.
+// Bridges one PE of generated C onto an ExecContext. The lolrt_pe is
+// constructed before setjmp and only read after the longjmp returns; the
+// stored failure is rethrown as the exception type the launcher's
+// status classification expects.
 void run_native_pe(lolrt_main_fn fn, lol::rt::ExecContext& ctx) {
   lolrt_pe pe_ctx;
   pe_ctx.ctx = &ctx;

@@ -103,8 +103,8 @@ lolv lolrt_gimmeh(lolrt_pe* pe);
 /* Charges one execution step. The generated code calls this once per
  * statement and once per loop iteration, mirroring how the interpreter
  * charges rt::ExecContext::count_step — so `--max-steps` budgets and
- * external aborts (Service deadlines, cancel) behave identically on the
- * native path. Does not return when the budget is exhausted or an abort
+ * aborts (a failing peer PE) behave as on the interpreter. Does not
+ * return when the budget is exhausted or an abort
  * is pending: the condition is recorded and control longjmps back to the
  * launcher, which reports a step-limit or abort failure for this PE. */
 void lolrt_step(lolrt_pe* pe);

@@ -1,35 +1,8 @@
-// In-process native execution of lcc-generated code (Backend::kNative).
-//
-// The paper's deployment compiles LOLCODE to C and runs the executable
-// under `coprsh -np N`; this module runs the same generated C *inside*
-// the engine: emit C → host cc (-shared -fPIC) → dlopen → call
-// lol_user_main once per PE on the engine's own shmem::Runtime. Because
-// the generated code charges steps through lolrt_step and performs IO
-// through the shared rt::ExecContext, every RunConfig control behaves
-// exactly as it does on the interpreter and VM backends:
-//
-//   * max_steps kills a runaway PE with support::StepLimitError
-//   * an AbortToken (Service deadline reaper, cancel()) interrupts
-//     compute loops, locks, barriers and GIMMEH within a bounded wait
-//   * sink/input/seed/machine plumb through unchanged
-//
-// which is what lets the Service enforce deadlines and cancellation on
-// native jobs, and the differential suite compare all three backends
-// byte for byte.
-//
-// Requirements: a POSIX dlopen and a host C compiler ($CC, else `cc`).
-// The embedding executable must export the lolrt_* symbols for the
-// dlopen()ed object to resolve against (CMake ENABLE_EXPORTS /
-// -rdynamic); every executable in this repo is built that way.
+// Runs one PE of lcc-generated code on an engine-owned ExecContext: the
+// launcher every `lcc` executable's lolrt_run_main calls once per PE.
 #pragma once
 
-#include <memory>
-#include <mutex>
-#include <string>
-
-#include "ast/ast.hpp"
 #include "codegen/lolrt_c.h"
-#include "sema/analyzer.hpp"
 
 namespace lol::rt {
 struct ExecContext;
@@ -37,72 +10,14 @@ struct ExecContext;
 
 namespace lol::codegen {
 
-/// True when the native backend can run here: the platform has dlopen
-/// and the host C compiler answers a probe. Memoized; cheap after the
-/// first call. When false, Backend::kNative runs fail with an
-/// explanatory RunResult error instead of crashing.
-bool native_available();
-
-/// The host C compiler the native backend shells out to ($CC, else cc).
-std::string native_cc();
-
-/// The per-process private scratch directory (mkdtemp, mode 0700) that
-/// holds the backend's transient .c/.so/.log files. Created on first
-/// use; empty string when creation failed (builds then error out).
-const std::string& native_scratch_dir();
-
-/// Decodes the wait status std::system returned for the compile command
-/// into a human diagnostic: spawn failure (-1), death by signal (e.g.
-/// the OOM killer) and a nonzero compiler exit all read differently.
-std::string describe_cc_failure(int wait_status);
-
-/// A loaded native translation of one program: the dlopen()ed shared
-/// object plus its lol_user_main entry point. Immutable and shareable
-/// across concurrent runs — all mutable execution state lives in the
-/// per-PE contexts handed to run_native_pe.
-class NativeProgram {
- public:
-  NativeProgram(const NativeProgram&) = delete;
-  NativeProgram& operator=(const NativeProgram&) = delete;
-  ~NativeProgram();
-
-  [[nodiscard]] lolrt_main_fn entry() const { return entry_; }
-
-  /// Emits C for `program`, compiles it with the host cc and dlopens
-  /// the result. Process-wide cache keyed by the generated C text, so
-  /// repeated runs of one source (service retries, differential sweeps,
-  /// --repeat batches) reuse the loaded object instead of re-invoking
-  /// the compiler. Returns null and fills `error` on any failure: no
-  /// host cc, an unsupported construct (SRS), cc diagnostics, or a
-  /// dlopen/dlsym problem.
-  static std::shared_ptr<const NativeProgram> get_or_build(
-      const ast::Program& program, const sema::Analysis& analysis,
-      std::string* error);
-
- private:
-  NativeProgram() = default;
-
-  void* handle_ = nullptr;          // dlopen handle
-  lolrt_main_fn entry_ = nullptr;   // lol_user_main in the loaded object
-};
-
-/// Per-CompiledProgram memo of the loaded native translation. Created
-/// empty by lol::compile and filled under its own lock on the first
-/// Backend::kNative run, so warm runs (service workers sharing one
-/// cached CompiledProgram, --repeat batches) skip C emission entirely.
-/// The process-wide cache inside get_or_build still deduplicates across
-/// distinct CompiledProgram instances of the same source; this slot
-/// removes the per-run emit cost of computing that cache's key. Build
-/// failures are not memoized — they are rare and stay re-attemptable.
-struct NativeSlot {
-  std::mutex m;
-  std::shared_ptr<const NativeProgram> prog;
-};
-
-/// Runs one PE of a native program against the shared ExecContext,
+/// Runs one PE of a generated program against the shared ExecContext,
 /// translating the lolrt longjmp error discipline back into the engine's
 /// exceptions (support::StepLimitError / support::RuntimeError). Defined
 /// in lolrt_c.cpp, which owns the lolrt_pe internals.
 void run_native_pe(lolrt_main_fn fn, rt::ExecContext& ctx);
+
+/// Empty; kept only until e2ebench/e2e_bench.cpp stops assigning
+/// CompiledProgram::native_slot.
+struct NativeSlot {};
 
 }  // namespace lol::codegen

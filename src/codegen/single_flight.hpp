@@ -1,8 +1,7 @@
 // Single-flight build cache: N concurrent misses on the same key run the
-// build exactly once; everyone else blocks on the winner's future. Used by
-// both compiled-code caches (native cc objects keyed by generated C text,
-// JIT programs keyed by chunk bytes) so a burst of identical cold jobs
-// costs one compile.
+// build exactly once; everyone else blocks on the winner's future. The
+// JIT code cache (programs keyed by chunk bytes) uses it so a burst of
+// identical cold jobs costs one compile.
 #pragma once
 
 #include <cstddef>

@@ -5,7 +5,6 @@
 #include <chrono>
 
 #include "codegen/jit_backend.hpp"
-#include "codegen/native_backend.hpp"
 #include "interp/interpreter.hpp"
 #include "obs/metrics.hpp"
 #include "opt/opt.hpp"
@@ -45,7 +44,6 @@ const char* to_string(Backend b) {
   switch (b) {
     case Backend::kInterp: return "interp";
     case Backend::kVm: return "vm";
-    case Backend::kNative: return "native";
     case Backend::kJit: return "jit";
   }
   return "vm";
@@ -54,7 +52,6 @@ const char* to_string(Backend b) {
 std::optional<Backend> backend_from_name(std::string_view name) {
   if (name == "interp") return Backend::kInterp;
   if (name == "vm") return Backend::kVm;
-  if (name == "native") return Backend::kNative;
   if (name == "jit") return Backend::kJit;
   return std::nullopt;
 }
@@ -84,7 +81,6 @@ CompiledProgram compile(std::string_view source, const CompileOptions& opts) {
     // Analysis borrows AST nodes the passes may have replaced.
     out.analysis = sema::analyze(out.program);
   }
-  out.native_slot = std::make_shared<codegen::NativeSlot>();
   out.vm_slot = std::make_shared<vm::VmSlot>();
   out.jit_slot = std::make_shared<codegen::JitSlot>();
   return out;
@@ -99,7 +95,7 @@ std::size_t CompiledProgram::jit_code_bytes() const {
 namespace {
 
 /// Result shape for a run that failed before any PE started (pre-launch
-/// abort, native build failure). Must not trust cfg.n_pes: the Runtime
+/// abort, bad replay trace). Must not trust cfg.n_pes: the Runtime
 /// constructor, which normally rejects bad values, is skipped on these
 /// paths.
 RunResult error_result(int n_pes, const std::string& message) {
@@ -136,31 +132,6 @@ RunResult run(const CompiledProgram& prog, const RunConfig& cfg) {
   Backend backend = cfg.backend;
   if (backend == Backend::kJit && !codegen::jit_available()) {
     backend = Backend::kVm;
-  }
-
-  // The native backend translates to C and invokes the host cc once per
-  // distinct program (process-wide cache); build before the Runtime so a
-  // missing compiler fails cheaply with a diagnostic instead of a throw.
-  std::shared_ptr<const codegen::NativeProgram> native;
-  if (backend == Backend::kNative) {
-    std::string nerr;
-    if (prog.native_slot != nullptr) {
-      // Warm path: reuse this program's loaded object without re-emitting
-      // C. The slot lock also serializes concurrent first builds from
-      // service workers sharing one cached CompiledProgram.
-      std::lock_guard<std::mutex> g(prog.native_slot->m);
-      if (prog.native_slot->prog == nullptr) {
-        prog.native_slot->prog = codegen::NativeProgram::get_or_build(
-            prog.program, prog.analysis, &nerr);
-      }
-      native = prog.native_slot->prog;
-    } else {
-      native = codegen::NativeProgram::get_or_build(prog.program,
-                                                    prog.analysis, &nerr);
-    }
-    if (native == nullptr) {
-      return error_result(cfg.n_pes, "native backend: " + nerr);
-    }
   }
 
   // Deterministic scheduling: build the controller before the Runtime so
@@ -241,8 +212,7 @@ RunResult run(const CompiledProgram& prog, const RunConfig& cfg) {
   }
 
   // Lower the chunk to machine code for the JIT backend (per-program
-  // memo over the process-wide single-flight code cache, mirroring the
-  // native slot).
+  // memo over the process-wide single-flight code cache).
   std::shared_ptr<const codegen::JitProgram> jit;
   if (backend == Backend::kJit) {
     std::string jerr;
@@ -284,9 +254,6 @@ RunResult run(const CompiledProgram& prog, const RunConfig& cfg) {
           break;
         case Backend::kVm:
           vm::run_pe(*chunk, ctx);
-          break;
-        case Backend::kNative:
-          codegen::run_native_pe(native->entry(), ctx);
           break;
         case Backend::kJit:
           jit->run_pe(ctx);

@@ -44,10 +44,6 @@ namespace lol {
 enum class Backend {
   kInterp,  // tree-walking interpreter (reference semantics)
   kVm,      // bytecode VM (compiled dispatch; same semantics, faster)
-  kNative,  // lcc-generated C compiled by the host cc, dlopen()ed and run
-            // in-process on the same shmem substrate; needs a host C
-            // compiler (lol::codegen::native_available()) or the run
-            // fails with an explanatory error
   kJit,     // the VM with its type-specialized regions compiled to
             // x86-64 in executable pages (W^X mmap) — no host toolchain,
             // microsecond cold compiles. Runs the plain VM when the host
@@ -55,7 +51,7 @@ enum class Backend {
             // (lol::codegen::jit_available())
 };
 
-/// Canonical backend name ("interp" / "vm" / "native" / "jit") — the single
+/// Canonical backend name ("interp" / "vm" / "jit") — the single
 /// mapping every surface shares: lolrun/lolserve --backend flags, the
 /// daemon wire protocol, the differential harness.
 [[nodiscard]] const char* to_string(Backend b);
@@ -82,10 +78,7 @@ struct CompiledProgram {
   /// hashes must distinguish optimized shapes).
   CompileOptions options;
 
-  /// Backend::kNative memo: the loaded shared object for this program,
-  /// filled on first native run so repeats skip C emission (see
-  /// codegen/native_backend.hpp). Harmless to leave null on
-  /// hand-constructed instances — the run falls back to the global cache.
+  /// Unused; kept only until e2ebench/e2e_bench.cpp stops assigning it.
   std::shared_ptr<codegen::NativeSlot> native_slot;
 
   /// Backend::kVm memo: the compiled bytecode chunk, filled on first VM
@@ -196,7 +189,7 @@ struct RunResult {
   /// blocks; *_wait_ns populated only when RunConfig::profile was set).
   std::vector<obs::PeProfile> pe_profiles;
   /// Lifecycle timing for job traces, three disjoint measured spans:
-  /// setup is run() entry until launch (native/vm/jit memo lookups,
+  /// setup is run() entry until launch (vm/jit memo lookups,
   /// runtime construction), claim is launch entry until the first PE
   /// body started (per-launch reset, executor claim), exec is from
   /// then until the gang joined.

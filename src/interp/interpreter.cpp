@@ -536,7 +536,7 @@ Value Interpreter::call_function(const std::string& name,
                            " argument(s), got " + std::to_string(args.size()),
                        loc);
   }
-  // Main's frame counts toward the limit, as in the VM and native code.
+  // Main's frame counts toward the limit, as in the VM and generated C.
   if (++call_depth_ >= kMaxCallDepth) {
     --call_depth_;
     throw RuntimeError("call depth exceeded (" +

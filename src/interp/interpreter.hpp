@@ -21,8 +21,8 @@ class Interpreter {
   /// on semantic errors at run time.
   void run();
 
-  /// Call frames allowed, main's included (the VM and native code allow
-  /// 2000). The tree-walking interpreter recurses on the host stack, so
+  /// Call frames allowed, main's included (the VM and lcc-generated C
+  /// allow 2000). The tree-walking interpreter recurses on the host stack, so
   /// the guard must leave headroom below the real stack size. Sanitizer
   /// instrumentation grows frames several-fold; shrink accordingly so
   /// runaway recursion still dies with a clean diagnostic, not SIGSEGV.

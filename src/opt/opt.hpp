@@ -1,7 +1,7 @@
 // The optimizing middle-end: a pass pipeline over the AST.
 //
 // Runs once per compile — between sema validation and backend slot setup
-// — so the interpreter, the bytecode VM, the lcc native path and the JIT
+// — so the interpreter, the bytecode VM, the JIT and lcc's generated C
 // all execute the same optimized program, and every warm compile-cache
 // hit amortizes the work across runs. The pipeline is semantics-
 // preserving with respect to per-PE observable behavior: printed output,

@@ -81,7 +81,7 @@ struct Request {
 std::optional<Request> parse_request(const std::string& line,
                                      std::string* error);
 
-/// Wire name of a backend ("interp" / "vm" / "native" / "jit").
+/// Wire name of a backend ("interp" / "vm" / "jit").
 [[nodiscard]] const char* backend_name(Backend b);
 
 // -- request serializers (no trailing newline) ------------------------------

@@ -15,11 +15,11 @@ namespace lol::vm {
 Chunk compile_program(const ast::Program& program,
                       const sema::Analysis& analysis);
 
-/// Backend::kVm memo on a CompiledProgram (the mirror of
-/// codegen::NativeSlot): the chunk is compiled on the first VM run and
-/// shared read-only by every later run, so warm service jobs stop
-/// re-running compile_program per submission. The mutex serializes the
-/// first build between service workers sharing one cached program.
+/// Backend::kVm memo on a CompiledProgram (mirrored by codegen::JitSlot):
+/// the chunk is compiled on the first VM run and shared read-only by
+/// every later run, so warm service jobs stop re-running compile_program
+/// per submission. The mutex serializes the first build between service
+/// workers sharing one cached program.
 struct VmSlot {
   std::mutex m;
   std::shared_ptr<const Chunk> chunk;

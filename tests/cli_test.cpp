@@ -517,6 +517,18 @@ TEST(LolserveCli, ShuffleIsSeededAndDeterministic) {
   EXPECT_EQ(sorted_shuf, sorted_plain);
 }
 
+// The removed in-process C backend's name is a usage error.
+TEST(LolserveCli, NativeBackendIsUnknownToBothTools) {
+  std::string path = write_program("native", "HAI 1.2\nKTHXBYE\n");
+  for (const char* bin : {LOLRUN_BIN, LOLSERVE_BIN}) {
+    auto r = run_cmd(std::string(bin) + " --backend native " + path);
+    ASSERT_TRUE(WIFEXITED(r.status)) << bin << ": " << r.output;
+    EXPECT_EQ(WEXITSTATUS(r.status), 2) << bin << ": " << r.output;
+    EXPECT_NE(r.output.find("unknown backend 'native'"), std::string::npos)
+        << bin << ": " << r.output;
+  }
+}
+
 TEST(LolserveCli, MalformedNumericFlagsAreUsageErrors) {
   std::string path =
       write_program("serve_strict", "HAI 1.2\nVISIBLE ME\nKTHXBYE\n");

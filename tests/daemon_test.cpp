@@ -543,7 +543,7 @@ TEST(Wire, SubmitRoundTripsRandomJobs) {
     job.heap_bytes = static_cast<std::size_t>(random_u64(rng));
     job.backend = iter % 3 == 0   ? lol::Backend::kInterp
                   : iter % 3 == 1 ? lol::Backend::kVm
-                                  : lol::Backend::kNative;
+                                  : lol::Backend::kJit;
     job.executor = iter % 3 == 0   ? lol::shmem::ExecutorKind::kThread
                    : iter % 3 == 1 ? lol::shmem::ExecutorKind::kPool
                                    : lol::shmem::ExecutorKind::kFiber;
@@ -648,6 +648,18 @@ TEST(Wire, ResultEventsRoundTripThroughTheJsonParser) {
       EXPECT_EQ(out->arr[i].str, r.pe_output[i]);
     }
   }
+}
+
+// The removed in-process C backend's wire name is an unknown backend
+// like any other.
+TEST(Wire, NativeBackendIsRejectedAsUnknown) {
+  std::string err;
+  auto req = wire::parse_request(
+      R"({"op":"submit","source":"HAI 1.2\nKTHXBYE\n","backend":"native"})",
+      &err);
+  EXPECT_FALSE(req.has_value());
+  EXPECT_EQ(err, "unknown backend 'native'");
+  EXPECT_FALSE(lol::backend_from_name("native").has_value());
 }
 
 TEST(Wire, MalformedRequestsAreRejectedWithErrors) {

@@ -3,8 +3,9 @@
 // The paper's pedagogical claim — and this repo's north star — is that
 // one parallel LOLCODE program means the same thing on every execution
 // substrate. This harness makes that claim testable: run one program
-// through the interpreter, the VM and (when the host has a C compiler)
-// the lcc native path under *identical* RunConfigs, then require
+// through the interpreter, the VM and the JIT under *identical*
+// RunConfigs, and (when the host has a C compiler) as an executable
+// built by `lcc` with the same flags, then require
 //
 //   * the same outcome classification (ok / compile error / runtime
 //     error / step-limited / aborted), and
@@ -14,15 +15,15 @@
 // PEs differently between runs, but what each PE prints is deterministic
 // given the program, the seed and the barriers it contains.
 //
-// The same program is also run under every PE executor (thread-per-PE,
-// the persistent pool and fiber carriers), so the full conformance
-// matrix is {interp, vm, native, jit} x {thread, pool, fiber}:
-// multiplexing virtual PEs on fibers — or executing emitted x86-64
-// instead of dispatching bytecode — must not change what any PE
-// computes or prints.
+// The in-process backends also run under every PE executor
+// (thread-per-PE, the persistent pool and fiber carriers), so the full
+// conformance matrix is {interp, vm, jit} x {thread, pool, fiber} plus
+// the lcc column: multiplexing virtual PEs on fibers, executing emitted
+// x86-64 instead of dispatching bytecode, or compiling generated C must
+// not change what any PE computes or prints.
 //
 // Step-budget caveat: a "step" is a statement in the interpreter and the
-// native code but an instruction in the VM, so budgets near the edge can
+// generated C but an instruction in the VM, so budgets near the edge can
 // classify differently by design. Differential cases therefore use
 // budgets that are either clearly exhausted (tiny budget, infinite loop)
 // or clearly generous; the classification must then agree.
@@ -39,13 +40,16 @@ namespace lol::difftest {
 
 /// How a run ended, collapsed to the classification every backend must
 /// agree on (the same partition JobStatus uses, minus service-only
-/// states).
+/// states). kCrashed is an lcc executable breaking its contract (a
+/// signal, a status other than 0, 1 or 3, or stdout outside the per-PE
+/// tags); no spec expects it.
 enum class Outcome {
   kOk,
   kCompileError,
   kRuntimeError,
   kStepLimit,
   kAborted,
+  kCrashed,
 };
 
 [[nodiscard]] const char* to_string(Outcome o);
@@ -78,27 +82,26 @@ struct Spec {
   int opt_level = -1;
 };
 
-/// What one (backend, executor) cell did with a Spec.
+/// What one column (a backend x executor cell, or lcc) did with a Spec.
 struct BackendRun {
-  Backend backend = Backend::kInterp;
-  shmem::ExecutorKind executor = shmem::ExecutorKind::kThread;
-  std::string label;  // "interp/thread", "vm/fiber", ...
+  std::string label;  // "interp/thread", "vm/fiber", "lcc", ...
   Outcome outcome = Outcome::kOk;
   std::vector<std::string> pe_output;
   std::vector<std::string> pe_errout;
   std::string error;   // first error (diagnostic only, not compared)
-  double wall_ms = 0.0;
+  double wall_ms = 0.0;  // in-process columns only
 };
-
-/// True when Backend::kNative can run here (host cc + dlopen). Tests
-/// GTEST_SKIP the native column when false; interp-vs-VM still runs.
-bool native_available();
 
 /// True when Backend::kJit can run here (x86-64, executable mmap).
 bool jit_available();
 
-/// The backends this host can compare: interp and VM always, native and
-/// jit when available.
+/// True when the lcc column can run here: the host C compiler lcc
+/// drives ($CC, else cc) is on the PATH. Tests GTEST_SKIP the column
+/// when false; the in-process backends still run.
+bool lcc_available();
+
+/// The backends this host can compare: interp and VM always, jit when
+/// available.
 std::vector<Backend> backends_under_test();
 
 /// The executor axis: thread-per-PE and the persistent pool always,
@@ -111,11 +114,19 @@ std::vector<shmem::ExecutorKind> executors_under_test();
 BackendRun run_one(const Spec& spec, Backend backend,
                    shmem::ExecutorKind executor = shmem::ExecutorKind::kThread);
 
-/// Runs the spec on every available backend x executor cell and reports
-/// divergence: empty string when all cells agree on classification and
-/// per-PE output, else a human-readable report naming the disagreeing
-/// cells.
-std::string divergence(const Spec& spec);
+/// Runs each spec of a table through every column, in table order:
+/// each backend x executor cell, then the lcc column — the spec run as
+/// an lcc executable with the same flags — unless lcc is unavailable or
+/// the spec needs what a standalone process lacks (an abort timer, or
+/// GIMMEH input on several PEs: a process has one shared stdin). The
+/// lcc builds of the whole table start first, in the background, so
+/// they overlap the in-process columns.
+std::vector<std::vector<BackendRun>> run_matrix(const std::vector<Spec>& specs);
+
+/// Runs a table through run_matrix and reports, per spec, divergence:
+/// an empty string when all columns agree on classification and per-PE
+/// output, else a human-readable report naming the disagreeing columns.
+std::vector<std::string> divergence(const std::vector<Spec>& specs);
 
 /// Loads every *.lol file under `dir` (sorted by name) as a Spec with
 /// the given PE count. Empty when the directory is missing.

@@ -1,6 +1,6 @@
 // Differential cross-backend conformance suite: every program must mean
-// the same thing on the interpreter, the VM, the lcc native path and the
-// direct x86-64 JIT (Tables 1–3 of the source paper frame conformance
+// the same thing on the interpreter, the VM, the direct x86-64 JIT and
+// an lcc-built executable (Tables 1–3 of the source paper frame conformance
 // exactly this way). Cases cover the example programs shipped in
 // examples/lol/, the paper's §VI listings, and a table of edge-case
 // snippets — including deterministic-seed multi-PE programs, step-limit
@@ -8,7 +8,7 @@
 // *classification* parity the service relies on is pinned down, not just
 // happy-path output.
 //
-// When the host has no C compiler the native column is skipped, and on
+// When the host has no C compiler the lcc column is skipped, and on
 // non-x86-64 hosts (or under LOL_JIT=0) the jit column is skipped; the
 // harness still cross-checks the remaining backends. CI runs all four.
 #include <gtest/gtest.h>
@@ -39,23 +39,34 @@ Spec make(std::string name, const std::string& body, int n_pes = 1) {
   return s;
 }
 
-void expect_agreement(const Spec& spec) {
-  std::string report = lol::difftest::divergence(spec);
-  EXPECT_EQ(report, "") << report;
+void expect_agreement(const std::vector<Spec>& specs) {
+  const std::vector<std::string> reports = lol::difftest::divergence(specs);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    SCOPED_TRACE(specs[i].name);
+    EXPECT_EQ(reports[i], "") << reports[i];
+  }
 }
 
 TEST(Differential, BackendAvailabilityIsReported) {
   // A visible record in the test log of which optional columns ran on
   // this host, plus a pin that the count matches the availability probes
-  // (a backend silently falling out of backends_under_test() would
-  // otherwise shrink the matrix without failing anything).
+  // (a column silently falling out of run_matrix() would otherwise
+  // shrink the matrix without failing anything).
   std::size_t expected = 2;  // interp + vm, always
-  if (lol::difftest::native_available()) ++expected;
   if (lol::difftest::jit_available()) ++expected;
   EXPECT_EQ(lol::difftest::backends_under_test().size(), expected);
-  if (!lol::difftest::native_available()) {
-    GTEST_SKIP() << "no host C compiler: native column skipped";
+  const Spec hello = make("availability", "VISIBLE \"PE \" ME\n", 2);
+  const auto runs = lol::difftest::run_matrix({hello}).front();
+  EXPECT_EQ(runs.size(),
+            expected * lol::difftest::executors_under_test().size() +
+                (lol::difftest::lcc_available() ? 1 : 0));
+  if (!lol::difftest::lcc_available()) {
+    GTEST_SKIP() << "no host C compiler: lcc column skipped";
   }
+  EXPECT_EQ(runs.back().label, "lcc");
+  EXPECT_EQ(runs.back().outcome, Outcome::kOk) << runs.back().error;
+  EXPECT_EQ(runs.back().pe_output,
+            (std::vector<std::string>{"PE 0\n", "PE 1\n"}));
   if (!lol::difftest::jit_available()) {
     GTEST_SKIP() << "no x86-64 executable mmap (or LOL_JIT=0): jit "
                     "column skipped";
@@ -150,7 +161,7 @@ TEST(Differential, BarrierRadixIsOutputInvariant) {
 }
 
 // The optimizer is a pure performance transform: -O0, -O1 and -O2 must
-// print byte-identical per-PE output on every backend x executor cell.
+// print byte-identical per-PE output on every column of the matrix.
 // Workloads chosen to actually exercise the passes — heat_1d unrolls
 // both stencil loops and folds the indices, the 6-particle n-body
 // listing unrolls its interaction loops and selects the branches they
@@ -179,25 +190,27 @@ TEST(Differential, OptimizedMatchesUnoptimizedAcrossTheMatrix) {
   bsum.n_pes = 4;
   workloads.push_back(bsum);
 
-  for (Spec& spec : workloads) {
-    SCOPED_TRACE(spec.name);
-    spec.opt_level = 0;
-    auto ref = lol::difftest::run_one(spec, lol::Backend::kVm);
-    ASSERT_EQ(ref.outcome, Outcome::kOk) << ref.error;
+  std::vector<Spec> leveled;
+  for (const Spec& spec : workloads) {
     for (int level : {1, 2}) {
-      Spec opt = spec;
-      opt.opt_level = level;
-      for (lol::Backend b : lol::difftest::backends_under_test()) {
-        for (auto e : lol::difftest::executors_under_test()) {
-          SCOPED_TRACE(std::string("-O") + std::to_string(level) + " on " +
-                       lol::difftest::backend_label(b) + "/" +
-                       lol::shmem::to_string(e));
-          auto run = lol::difftest::run_one(opt, b, e);
-          ASSERT_EQ(run.outcome, Outcome::kOk) << run.error;
-          EXPECT_EQ(run.pe_output, ref.pe_output);
-          EXPECT_EQ(run.pe_errout, ref.pe_errout);
-        }
-      }
+      leveled.push_back(spec);
+      leveled.back().opt_level = level;
+    }
+  }
+  const auto matrix = lol::difftest::run_matrix(leveled);
+
+  for (std::size_t i = 0; i < leveled.size(); ++i) {
+    SCOPED_TRACE(leveled[i].name);
+    Spec unoptimized = leveled[i];
+    unoptimized.opt_level = 0;
+    auto ref = lol::difftest::run_one(unoptimized, lol::Backend::kVm);
+    ASSERT_EQ(ref.outcome, Outcome::kOk) << ref.error;
+    for (const auto& run : matrix[i]) {
+      SCOPED_TRACE(std::string("-O") + std::to_string(leveled[i].opt_level) +
+                   " on " + run.label);
+      ASSERT_EQ(run.outcome, Outcome::kOk) << run.error;
+      EXPECT_EQ(run.pe_output, ref.pe_output);
+      EXPECT_EQ(run.pe_errout, ref.pe_errout);
     }
   }
 }
@@ -206,10 +219,7 @@ TEST(Differential, ExamplePrograms) {
   std::vector<Spec> specs = lol::difftest::load_lol_dir(LOL_EXAMPLES_DIR, 4);
   ASSERT_FALSE(specs.empty())
       << "no .lol programs found under " << LOL_EXAMPLES_DIR;
-  for (const Spec& spec : specs) {
-    SCOPED_TRACE(spec.name);
-    expect_agreement(spec);
-  }
+  expect_agreement(specs);
 }
 
 TEST(Differential, PaperListings) {
@@ -247,10 +257,7 @@ TEST(Differential, PaperListings) {
   nbody4.n_pes = 4;
   specs.push_back(nbody4);
 
-  for (const Spec& spec : specs) {
-    SCOPED_TRACE(spec.name);
-    expect_agreement(spec);
-  }
+  expect_agreement(specs);
 }
 
 TEST(Differential, EdgeCaseTable) {
@@ -389,7 +396,7 @@ TEST(Differential, EdgeCaseTable) {
       "I HAS A a ITZ LOTZ A NUMBRS AN THAR IZ 2\nVISIBLE a'Z 5\n"));
   specs.push_back(make("err-bad-cast", "VISIBLE SUM OF \"nope\" AN 1\n"));
   // Unbounded recursion hits the VM's frame limit as a runtime error;
-  // native code counts its frames too instead of overflowing the PE's
+  // generated C counts its frames too instead of overflowing the PE's
   // machine stack.
   specs.push_back(make(
       "runaway-recursion",
@@ -398,9 +405,9 @@ TEST(Differential, EdgeCaseTable) {
       "IF U SAY SO\n"
       "VISIBLE I IZ f YR 1 MKAY\n"));
 
+  expect_agreement(specs);
   for (const Spec& spec : specs) {
     SCOPED_TRACE(spec.name);
-    expect_agreement(spec);
     if (spec.name.rfind("err-", 0) == 0 || spec.name == "runaway-recursion") {
       EXPECT_EQ(lol::difftest::run_one(spec, lol::Backend::kInterp).outcome,
                 Outcome::kRuntimeError);
@@ -428,17 +435,16 @@ TEST(Differential, CallDepthLimitAgreesAcrossBackends) {
                 "VISIBLE I IZ depth YR " + std::to_string(n) + " MKAY\n");
   };
   const Spec deepest = depth(1998);
+  const Spec too_deep = depth(1999);
+  expect_agreement({deepest, too_deep});
   {
     SCOPED_TRACE(deepest.name);
-    expect_agreement(deepest);
     auto r = lol::difftest::run_one(deepest, lol::Backend::kInterp);
     EXPECT_EQ(r.outcome, Outcome::kOk) << r.error;
     EXPECT_EQ(r.pe_output, std::vector<std::string>{"1998\n"});
   }
-  const Spec too_deep = depth(1999);
   {
     SCOPED_TRACE(too_deep.name);
-    expect_agreement(too_deep);
     auto r = lol::difftest::run_one(too_deep, lol::Backend::kInterp);
     EXPECT_EQ(r.outcome, Outcome::kRuntimeError);
     EXPECT_NE(r.error.find("call depth exceeded (2000)"), std::string::npos)
@@ -487,10 +493,7 @@ TEST(Differential, MultiPeDeterministicSeedPrograms) {
       "YA RLY\n  VISIBLE \"TOTAL \" total\nOIC\n",
       4));
 
-  for (const Spec& spec : specs) {
-    SCOPED_TRACE(spec.name);
-    expect_agreement(spec);
-  }
+  expect_agreement(specs);
 }
 
 TEST(Differential, StepLimitClassifiesIdentically) {
@@ -499,12 +502,6 @@ TEST(Differential, StepLimitClassifiesIdentically) {
   // magnitude away from the edge in both directions).
   Spec spin = make("spin-steplimit", "IM IN YR l\nIM OUTTA YR l\n", 2);
   spin.max_steps = 500;
-  {
-    SCOPED_TRACE(spin.name);
-    expect_agreement(spin);
-    auto r = lol::difftest::run_one(spin, lol::Backend::kInterp);
-    EXPECT_EQ(r.outcome, Outcome::kStepLimit);
-  }
 
   // A generous budget over a bounded program: nobody may trip.
   Spec ok = make("bounded-generous-budget",
@@ -514,12 +511,12 @@ TEST(Differential, StepLimitClassifiesIdentically) {
                  "IM OUTTA YR l\n"
                  "VISIBLE s\n");
   ok.max_steps = 1'000'000;
-  {
-    SCOPED_TRACE(ok.name);
-    expect_agreement(ok);
-    auto r = lol::difftest::run_one(ok, lol::Backend::kVm);
-    EXPECT_EQ(r.outcome, Outcome::kOk);
-  }
+
+  expect_agreement({spin, ok});
+  EXPECT_EQ(lol::difftest::run_one(spin, lol::Backend::kInterp).outcome,
+            Outcome::kStepLimit);
+  EXPECT_EQ(lol::difftest::run_one(ok, lol::Backend::kVm).outcome,
+            Outcome::kOk);
 }
 
 TEST(Differential, ExternalAbortClassifiesIdentically) {

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "codegen/jit_backend.hpp"
-#include "codegen/native_backend.hpp"
 #include "core/engine.hpp"
 #include "noc/machines.hpp"
 #include "replay/controller.hpp"
@@ -187,7 +186,6 @@ TEST(Replay, ByteIdenticalAcrossBackendsAndExecutors) {
   ASSERT_NE(trace, nullptr);
 
   std::vector<Backend> backends = {Backend::kInterp, Backend::kVm};
-  if (lol::codegen::native_available()) backends.push_back(Backend::kNative);
   if (lol::codegen::jit_available()) backends.push_back(Backend::kJit);
   for (Backend be : backends) {
     for (ExecutorKind ex :

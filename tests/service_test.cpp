@@ -19,7 +19,6 @@
 #include <thread>
 #include <vector>
 
-#include "codegen/native_backend.hpp"
 #include "core/engine.hpp"
 #include "core/paper_programs.hpp"
 #include "obs/metrics.hpp"
@@ -995,85 +994,6 @@ TEST(Service, TenantsShareWorkersUnderConcurrentLoad) {
     EXPECT_NE(r.id, 0u);
   }
   EXPECT_EQ(svc.stats().ok, 24u);
-}
-
-// ---------------------------------------------------------------------------
-// Native-backend parity: the same deadline / cancel / step-budget
-// guarantees the interp and VM paths have, on lcc-generated code running
-// in-process. Skipped (not failed) on hosts without a C compiler.
-// ---------------------------------------------------------------------------
-
-#define SKIP_WITHOUT_NATIVE()                                       \
-  if (!lol::codegen::native_available()) {                          \
-    GTEST_SKIP() << "no host C compiler for the native backend";    \
-  }
-
-TEST(Service, NativeBackendMatchesVmOutput) {
-  SKIP_WITHOUT_NATIVE();
-  Service svc({.workers = 2});
-  JobResult vm = svc.submit(make_job("vm", kSum, 2, Backend::kVm)).get();
-  JobResult nat =
-      svc.submit(make_job("native", kSum, 2, Backend::kNative)).get();
-  ASSERT_EQ(vm.status, JobStatus::kOk) << vm.error;
-  ASSERT_EQ(nat.status, JobStatus::kOk) << nat.error;
-  EXPECT_EQ(nat.pe_output, vm.pe_output);
-}
-
-TEST(Service, NativeBackendStepLimitKillsSpinningJob) {
-  SKIP_WITHOUT_NATIVE();
-  ServiceOptions opts;
-  opts.workers = 1;
-  Service svc(opts);
-  Job j = make_job("native-spin", kSpin, 2, Backend::kNative);
-  j.max_steps = 50'000;
-  JobResult r = svc.submit(std::move(j)).get();
-  EXPECT_EQ(r.status, JobStatus::kStepLimit);
-  EXPECT_NE(r.error.find("step budget"), std::string::npos) << r.error;
-}
-
-TEST(Service, NativeBackendDeadlineKillsSpinningJobInUnderOneSecond) {
-  SKIP_WITHOUT_NATIVE();
-  ServiceOptions opts;
-  opts.workers = 1;
-  opts.default_max_steps = 0;  // unlimited steps: only the clock can kill it
-  Service svc(opts);
-
-  // Warm the native compile cache so the host-cc invocation is not billed
-  // against the wall-clock assertion below.
-  Job warm = make_job("native-warm", kSpin, 1, Backend::kNative);
-  warm.deadline_ms = 100;
-  (void)svc.submit(std::move(warm)).get();
-
-  Job j = make_job("native-spin", kSpin, 2, Backend::kNative);
-  j.deadline_ms = 200;
-  auto t0 = std::chrono::steady_clock::now();
-  JobResult r = svc.submit(std::move(j)).get();
-  double wall_ms = std::chrono::duration<double, std::milli>(
-                       std::chrono::steady_clock::now() - t0)
-                       .count();
-  EXPECT_EQ(r.status, JobStatus::kDeadlineExceeded);
-  EXPECT_NE(r.error.find("deadline of 200 ms"), std::string::npos) << r.error;
-  EXPECT_LT(wall_ms, 1000.0) << "native deadline took " << wall_ms << " ms";
-}
-
-TEST(Service, NativeBackendCancelAbortsInFlightJob) {
-  SKIP_WITHOUT_NATIVE();
-  ServiceOptions opts;
-  opts.workers = 1;
-  opts.default_max_steps = 0;
-  Service svc(opts);
-
-  auto sub = svc.submit_job(make_job("native-spin", kSpin, 2,
-                                     Backend::kNative));
-  // Let the job reach the worker (compile may need one cc invocation on
-  // a cold cache), then cancel mid-spin.
-  while (svc.running_depth() == 0 && svc.queue_depth() > 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_TRUE(svc.cancel(sub.id));
-  JobResult r = sub.result.get();
-  EXPECT_EQ(r.status, JobStatus::kCancelled);
 }
 
 // ---------------------------------------------------------------------------

@@ -66,14 +66,8 @@ int main(int argc, char** argv) {
   std::string cc = cli.option("--cc").value_or(
       std::getenv("CC") != nullptr ? std::getenv("CC") : "cc");
   lol::CompileOptions copts;
-  if (auto lvl = cli.option("--opt-level")) {
-    if (lvl->size() != 1 || (*lvl)[0] < '0' || (*lvl)[0] > '2') {
-      std::fprintf(stderr, "lcc: bad --opt-level '%s' (want 0, 1 or 2)\n",
-                   lvl->c_str());
-      return 2;
-    }
-    copts.opt_level = (*lvl)[0] - '0';
-  }
+  copts.opt_level = static_cast<int>(
+      cli.int_option("--opt-level", 0, 2).value_or(copts.opt_level));
   const auto& pos = cli.positional();
   if (pos.size() != 1) return usage(argv[0]);
   const std::string& input = pos[0];

@@ -30,8 +30,8 @@ int usage(const char* prog) {
       stderr,
       "usage: %s [options] <program.lol>\n"
       "  -np <N>            number of PEs (default 1, max 4096)\n"
-      "  --backend <b>      vm (default), interp, native (host cc + dlopen),\n"
-      "                     or jit (x86-64 hot loops; falls back to the VM)\n"
+      "  --backend <b>      vm (default), interp, or jit (x86-64 hot loops;\n"
+      "                     falls back to the VM)\n"
       "  --executor <e>     thread (default), pool, or fiber — fiber\n"
       "                     multiplexes many virtual PEs per core, so -np\n"
       "                     can go far beyond the host's hardware threads\n"

@@ -67,7 +67,7 @@ int usage(const char* prog) {
       "  --queue <N>        bounded queue capacity (default 256)\n"
       "  --policy <p>       block (default) or reject when the queue is full\n"
       "  -np <N>            PEs per job (default 1)\n"
-      "  --backend <b>      vm (default), interp, native or jit\n"
+      "  --backend <b>      vm (default), interp or jit\n"
       "  --executor <e>     pool (default), thread or fiber (virtual PEs —\n"
       "                     lets -np exceed the host's cores)\n"
       "  --pes-per-thread <K>  fiber executor: virtual PEs per carrier\n"
