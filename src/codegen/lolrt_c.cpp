@@ -25,6 +25,7 @@
 #include "rt/objects.hpp"
 #include "rt/ops.hpp"
 #include "rt/value.hpp"
+#include "service/run_request.hpp"
 #include "shmem/runtime.hpp"
 #include "support/rng.hpp"
 
@@ -556,27 +557,24 @@ void lolrt_fail(lolrt_pe* pe, const char* msg) {
 }
 
 int lolrt_run_main(int argc, char** argv, lolrt_main_fn fn, int n_locks) {
-  // Flags parse strictly, with lolrun's ranges: a malformed or
-  // out-of-range value prints why and exits 2 before any PE starts.
+  // The run knobs an executable takes parse through lolrun's table
+  // (service/run_request.hpp): a malformed or out-of-range value prints
+  // why and exits 2 before any PE starts.
   lol::driver::Cli cli(argc, argv);
-  const int n_pes = static_cast<int>(
-      cli.int_option("-np", 1, lol::shmem::kMaxPes, "--np").value_or(1));
-  const std::uint64_t seed = cli.uint_option("--seed").value_or(20170529ULL);
-  const std::uint64_t heap = cli.uint_option("--heap").value_or(1 << 20);
-  const std::uint64_t max_steps =
-      cli.uint_option("--max-steps").value_or(0);  // 0 = unlimited
+  lol::service::Job job;  // 1 PE, unlimited steps
+  lol::service::read_flags(cli, job, /*exe=*/true);
   const bool tag = cli.has_flag("--tag");
   if (!cli.positional().empty()) {
     std::fprintf(stderr,
-                 "usage: %s [-np N] [--seed S] [--heap B] [--max-steps S] "
-                 "[--tag]\n",
-                 argv[0]);
+                 "usage: %s [options]\n%s"
+                 "  --tag              prefix output lines with [peN]\n",
+                 argv[0], lol::service::knob_usage(job, true).c_str());
     return 2;
   }
 
   lol::shmem::Config cfg;
-  cfg.n_pes = n_pes;
-  cfg.heap_bytes = static_cast<std::size_t>(heap);
+  cfg.n_pes = job.n_pes;
+  cfg.heap_bytes = job.heap_bytes;
   cfg.n_locks = n_locks;
   lol::rt::StdioSink sink(tag);
   lol::rt::StdinInput input;
@@ -586,7 +584,7 @@ int lolrt_run_main(int argc, char** argv, lolrt_main_fn fn, int n_locks) {
   try {
     lol::shmem::Runtime runtime(cfg);
     lr = runtime.launch([&](lol::shmem::Pe& pe) {
-      lol::rt::ExecContext ctx(pe, seed, sink, input, max_steps);
+      lol::rt::ExecContext ctx(pe, job.seed, sink, input, job.max_steps);
       try {
         lol::codegen::run_native_pe(fn, ctx);
       } catch (const lol::support::StepLimitError&) {
@@ -600,6 +598,7 @@ int lolrt_run_main(int argc, char** argv, lolrt_main_fn fn, int n_locks) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
+  sink.flush();
 
   if (!lr.ok) {
     for (const auto& e : lr.errors) {

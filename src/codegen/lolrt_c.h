@@ -167,8 +167,9 @@ void lolrt_fail(lolrt_pe* pe, const char* msg);
 /* -- launcher ------------------------------------------------------------------ */
 typedef void (*lolrt_main_fn)(lolrt_pe* pe);
 
-/* Parses `-np N` (default 1), `--seed S`, `--heap BYTES`, `--max-steps S`
- * (per-PE step budget, 0 = unlimited), `--tag` from argv, launches `fn`
+/* Parses `-np N` (default 1), `--seed S`, `--heap-bytes BYTES`,
+ * `--max-steps S` (per-PE step budget, 0 = unlimited) — lolrun's
+ * spellings, from its knob table — and `--tag` from argv, launches `fn`
  * SPMD, streams VISIBLE output to stdout/stderr and reads GIMMEH from the
  * real stdin. Exit status is classified so callers can tell failure modes
  * apart, mirroring JobStatus in the service layer:

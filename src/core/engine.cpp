@@ -40,22 +40,6 @@ EngineMetrics& engine_metrics() {
 
 }  // namespace
 
-const char* to_string(Backend b) {
-  switch (b) {
-    case Backend::kInterp: return "interp";
-    case Backend::kVm: return "vm";
-    case Backend::kJit: return "jit";
-  }
-  return "vm";
-}
-
-std::optional<Backend> backend_from_name(std::string_view name) {
-  if (name == "interp") return Backend::kInterp;
-  if (name == "vm") return Backend::kVm;
-  if (name == "jit") return Backend::kJit;
-  return std::nullopt;
-}
-
 std::string RunResult::first_error() const {
   return support::first_root_error(errors);
 }

@@ -53,11 +53,26 @@ enum class Backend {
 
 /// Canonical backend name ("interp" / "vm" / "jit") — the single
 /// mapping every surface shares: lolrun/lolserve --backend flags, the
-/// daemon wire protocol, the differential harness.
-[[nodiscard]] const char* to_string(Backend b);
+/// daemon wire protocol, the differential harness. Inline, so the run
+/// knob table (service/run_request.hpp) can use it inside lcc
+/// executables without linking the engine.
+[[nodiscard]] inline const char* to_string(Backend b) {
+  switch (b) {
+    case Backend::kInterp: return "interp";
+    case Backend::kVm: return "vm";
+    case Backend::kJit: return "jit";
+  }
+  return "vm";
+}
 
 /// Inverse of to_string; nullopt for unknown names.
-[[nodiscard]] std::optional<Backend> backend_from_name(std::string_view name);
+[[nodiscard]] inline std::optional<Backend> backend_from_name(
+    std::string_view name) {
+  for (Backend b : {Backend::kInterp, Backend::kVm, Backend::kJit}) {
+    if (name == to_string(b)) return b;
+  }
+  return std::nullopt;
+}
 
 /// Front-end configuration for compile(). Level 0 runs the raw AST,
 /// level 1 runs the folding passes, level 2 (the default everywhere)

@@ -18,10 +18,9 @@ void Cli::consume(std::size_t i, std::size_t n) {
   for (std::size_t k = i; k < i + n && k < used_.size(); ++k) used_[k] = true;
 }
 
-bool Cli::has_flag(const std::string& name, const std::string& alias) {
+bool Cli::has_flag(const std::string& name) {
   for (std::size_t i = 0; i < args_.size(); ++i) {
-    if (used_[i]) continue;
-    if (args_[i] == name || (!alias.empty() && args_[i] == alias)) {
+    if (!used_[i] && args_[i] == name) {
       consume(i, 1);
       return true;
     }
@@ -54,31 +53,27 @@ std::optional<T> parse_whole(std::string_view s) {
 
 }  // namespace
 
-void Cli::bad_value(const std::string& name, const std::string& value,
-                    const std::string& want) const {
-  std::fprintf(stderr, "%s: bad %s '%s' (want %s)\n",
-               prog_.substr(prog_.rfind('/') + 1).c_str(), name.c_str(),
-               value.c_str(), want.c_str());
+void Cli::fail(const std::string& message) const {
+  std::fprintf(stderr, "%s: %s\n", prog_.substr(prog_.rfind('/') + 1).c_str(),
+               message.c_str());
   std::exit(2);
 }
 
 std::optional<std::int64_t> Cli::int_option(const std::string& name,
-                                            std::int64_t lo, std::int64_t hi,
-                                            const std::string& alias) {
-  std::optional<std::string> v = option(name, alias);
+                                            std::int64_t lo, std::int64_t hi) {
+  std::optional<std::string> v = option(name);
   if (!v) return std::nullopt;
   if (auto n = parse_int(*v, lo, hi)) return n;
-  bad_value(name, *v,
-            "an integer in [" + std::to_string(lo) + ", " +
-                std::to_string(hi) + "]");
+  fail(bad_value(name, *v,
+                 "an integer in [" + std::to_string(lo) + ", " +
+                     std::to_string(hi) + "]"));
 }
 
-std::optional<std::uint64_t> Cli::uint_option(const std::string& name,
-                                              const std::string& alias) {
-  std::optional<std::string> v = option(name, alias);
+std::optional<std::uint64_t> Cli::uint_option(const std::string& name) {
+  std::optional<std::string> v = option(name);
   if (!v) return std::nullopt;
   if (auto n = parse_uint(*v)) return n;
-  bad_value(name, *v, "an unsigned 64-bit integer");
+  fail(bad_value(name, *v, "an unsigned 64-bit integer"));
 }
 
 const std::vector<std::string>& Cli::positional() {
@@ -100,6 +95,12 @@ std::optional<std::int64_t> parse_int(std::string_view s, std::int64_t lo,
 
 std::optional<std::uint64_t> parse_uint(std::string_view s) {
   return parse_whole<std::uint64_t>(s);
+}
+
+std::string bad_value(std::string_view name, std::string_view value,
+                      std::string_view want) {
+  return "bad " + std::string(name) + " '" + std::string(value) + "' (want " +
+         std::string(want) + ")";
 }
 
 std::optional<std::string> read_file(const std::string& path) {

@@ -16,8 +16,8 @@ class Cli {
  public:
   Cli(int argc, char** argv);
 
-  /// True when `--name` (or an alias) was present.
-  bool has_flag(const std::string& name, const std::string& alias = "");
+  /// True when `--name` was present.
+  bool has_flag(const std::string& name);
 
   /// Value of `--name <value>`; nullopt when absent.
   std::optional<std::string> option(const std::string& name,
@@ -28,26 +28,20 @@ class Cli {
   /// out-of-range value is a usage error: it prints why and exits with
   /// status 2.
   std::optional<std::int64_t> int_option(const std::string& name,
-                                         std::int64_t lo, std::int64_t hi,
-                                         const std::string& alias = "");
+                                         std::int64_t lo, std::int64_t hi);
 
   /// int_option over the whole unsigned 64-bit range (seeds, budgets,
   /// byte counts, milliseconds).
-  std::optional<std::uint64_t> uint_option(const std::string& name,
-                                           const std::string& alias = "");
+  std::optional<std::uint64_t> uint_option(const std::string& name);
 
   /// Positional arguments remaining after flags/options are consumed.
   [[nodiscard]] const std::vector<std::string>& positional();
 
-  /// The program name (argv[0]).
-  [[nodiscard]] const std::string& prog() const { return prog_; }
+  /// Reports a usage error as "<prog>: <message>" and exits with status 2.
+  [[noreturn]] void fail(const std::string& message) const;
 
  private:
   void consume(std::size_t i, std::size_t n);
-  /// Reports a malformed option value and exits with status 2.
-  [[noreturn]] void bad_value(const std::string& name,
-                              const std::string& value,
-                              const std::string& want) const;
 
   std::string prog_;
   std::vector<std::string> args_;
@@ -63,6 +57,11 @@ std::optional<std::int64_t> parse_int(std::string_view s, std::int64_t lo,
 
 /// parse_int for the whole unsigned 64-bit range ('-' is rejected).
 std::optional<std::uint64_t> parse_uint(std::string_view s);
+
+/// The one diagnosis of a malformed value, on every surface (CLI flags,
+/// wire keys, manifest fields): "bad <name> '<value>' (want <want>)".
+std::string bad_value(std::string_view name, std::string_view value,
+                      std::string_view want);
 
 /// Reads a whole file; returns nullopt when unreadable.
 std::optional<std::string> read_file(const std::string& path);

@@ -29,6 +29,18 @@ void StdioSink::emit(int pe, std::string_view text, bool err) {
   os.flush();
 }
 
+void StdioSink::flush() {
+  std::lock_guard<std::mutex> g(m_);
+  for (auto [pending, os] : {std::pair{&pending_out_, &std::cout},
+                             std::pair{&pending_err_, &std::cerr}}) {
+    for (auto& [pe, tail] : *pending) {
+      if (!tail.empty()) *os << "[pe" << pe << "!] " << tail << "\n";
+    }
+    pending->clear();
+    os->flush();
+  }
+}
+
 void StdioSink::write(int pe, std::string_view text) {
   emit(pe, text, false);
 }

@@ -64,11 +64,18 @@ class CaptureSink final : public OutputSink {
 
 /// Streams to the process stdout/stderr. With `tag_pe`, each buffered
 /// line is prefixed `[peN] ` so interleaved SPMD output stays readable.
+/// Text a PE leaves after its last newline is printed when the run ends
+/// (flush(), or the destructor) as one `[peN!] text` line — `!` as in
+/// `VISIBLE ...!`: no newline of its own — so `a0` and `a0\n` stay
+/// distinguishable in tagged output.
 class StdioSink final : public OutputSink {
  public:
   explicit StdioSink(bool tag_pe = false) : tag_pe_(tag_pe) {}
+  ~StdioSink() override { flush(); }
   void write(int pe, std::string_view text) override;
   void write_err(int pe, std::string_view text) override;
+  /// Prints every PE's unterminated tail; call once the PEs are done.
+  void flush();
 
  private:
   void emit(int pe, std::string_view text, bool err);

@@ -20,7 +20,10 @@ namespace lol::service {
 /// never 0.
 using JobId = std::uint64_t;
 
-/// One queued execution request.
+/// One queued execution request. The run knobs among its fields (PEs,
+/// backend, executor, packing, fan-in, heap, seed, step budget, opt
+/// level, perturbation seed, replay trace, fault spec) are defined, with
+/// their flags, wire keys and ranges, in service/run_request.hpp.
 struct Job {
   std::string name;      // reporting label ("ring.lol", "user42#7", ...)
   std::string source;    // full LOLCODE text (the compile-cache key)

@@ -4,8 +4,8 @@
 #include <utility>
 
 #include "obs/metrics.hpp"
-#include "opt/opt.hpp"
 #include "opt/tuner.hpp"
+#include "service/run_request.hpp"
 
 namespace lol::service {
 
@@ -266,16 +266,9 @@ void Service::worker_loop() {
     svc_metrics().running.add(1);
     not_full_.notify_one();
 
-    // Resolve the wall-clock budget like the step budget: job request,
-    // else service default, everything clamped to the cap.
-    std::uint64_t deadline_ms = p.job.deadline_ms == 0
-                                    ? opts_.default_deadline_ms
-                                    : p.job.deadline_ms;
-    if (opts_.deadline_ms_cap != 0) {
-      deadline_ms = deadline_ms == 0
-                        ? opts_.deadline_ms_cap
-                        : std::min(deadline_ms, opts_.deadline_ms_cap);
-    }
+    // Resolved like the step budget (see capped()).
+    const std::uint64_t deadline_ms = capped(
+        p.job.deadline_ms, opts_.default_deadline_ms, opts_.deadline_ms_cap);
     if (deadline_ms != 0) {
       arm_deadline(std::chrono::steady_clock::now() +
                        std::chrono::milliseconds(deadline_ms),
@@ -326,24 +319,18 @@ JobResult Service::execute(Pending& p, Inflight& inflight, double queue_ms) {
 
   // Optimization happens once, at cache-insert time: every later job
   // for this (source, level) — on any backend — runs the same
-  // already-optimized program.
-  CompileOptions copts;
-  copts.opt_level = std::clamp(job.opt_level, 0, 2);
-  // The tuner's unroll preference is a *compile* knob, so the lookup
-  // happens before the compile cache: a tuned budget selects (or
-  // populates) a distinct cache entry. Same guardrails as the runtime
-  // knobs below: never under record/replay.
-  std::optional<opt::TunedKnobs> tuned;
-  if (tuner_ != nullptr && job.schedule == replay::ScheduleMode::kNone) {
-    tuned = tuner_->lookup(
-        replay::fnv1a(job.source),
-        std::clamp(job.n_pes, 1, std::max(1, opts_.max_pes)));
-  }
-  if (tuned && tuned->unroll_max_trip != 0 && copts.opt_level >= 2) {
-    copts.unroll_max_trip = tuned->unroll_value();
+  // already-optimized program. A tuned unroll budget is a compile knob,
+  // so it selects (or populates) its own cache entry.
+  static const Job kDefaults;
+  Resolved rs = resolve(job, kDefaults, opts_, tuner_.get());
+  if (!rs.error.empty()) {
+    r.status = JobStatus::kRejected;
+    r.error = std::move(rs.error);
+    r.run_ms = ms_since(t0);
+    return r;
   }
   CachedCompile compiled =
-      cache_.get_or_compile(job.source, copts, &r.compile_cache_hit);
+      cache_.get_or_compile(job.source, rs.compile, &r.compile_cache_hit);
   double compile_ms = ms_since(t0);
   r.trace.push_back({r.compile_cache_hit ? "compile[cached]" : "compile",
                      queue_ms, compile_ms});
@@ -353,105 +340,18 @@ JobResult Service::execute(Pending& p, Inflight& inflight, double queue_ms) {
     r.run_ms = ms_since(t0);
     return r;
   }
+  if (!rs.tuned.empty()) {
+    r.tuned = std::move(rs.tuned);
+    svc_metrics().tuner_applied.inc();
+  }
 
-  RunConfig cfg;
-  cfg.n_pes = std::clamp(job.n_pes, 1, std::max(1, opts_.max_pes));
-  cfg.backend = job.backend;
-  cfg.seed = job.seed;
-  cfg.stdin_lines = job.stdin_lines;
-  cfg.input = job.input;
+  RunConfig& cfg = rs.run;
   cfg.abort = &inflight.token;
-  cfg.max_steps =
-      job.max_steps == 0 ? opts_.default_max_steps : job.max_steps;
-  if (opts_.max_steps_cap != 0) {
-    // The cap is a hard ceiling: an "unlimited" (0) resolved budget is
-    // clamped down to it too, or a looping job would wedge a worker.
-    cfg.max_steps = cfg.max_steps == 0
-                        ? opts_.max_steps_cap
-                        : std::min(cfg.max_steps, opts_.max_steps_cap);
-  }
-  cfg.heap_bytes = job.heap_bytes;
-  if (opts_.heap_bytes_cap != 0) {
-    cfg.heap_bytes = std::min(cfg.heap_bytes, opts_.heap_bytes_cap);
-  }
-  cfg.executor = job.executor;
-  cfg.pes_per_thread = job.pes_per_thread;
-  cfg.barrier_radix = job.barrier_radix;  // Runtime clamps hostile fan-ins
-
-  // Warm-hit auto-tuning: apply the persisted calibration winner for
-  // this (program, n_pes), but only the knobs the job left at their
-  // defaults — an explicit request always wins — and never under
-  // record/replay, whose traces are schedule-shape-sensitive. Outputs
-  // are knob-invariant by construction; this trades wall-clock only.
-  if (tuner_ != nullptr && job.schedule == replay::ScheduleMode::kNone) {
-    if (const auto& k = tuned) {
-      std::string applied;
-      auto note = [&applied](const std::string& kv) {
-        if (!applied.empty()) applied += ' ';
-        applied += kv;
-      };
-      if (k->barrier_radix != 0 && job.barrier_radix < 2) {
-        cfg.barrier_radix = k->barrier_radix;
-        note("barrier_radix=" + std::to_string(k->barrier_radix));
-      }
-      if (!k->executor.empty() &&
-          job.executor == shmem::ExecutorKind::kPool) {
-        if (auto e = shmem::executor_from_name(k->executor)) {
-          cfg.executor = *e;
-          note("executor=" + k->executor);
-        }
-      }
-      if (k->pes_per_thread != 0 && job.pes_per_thread == 0 &&
-          cfg.executor == shmem::ExecutorKind::kFiber) {
-        cfg.pes_per_thread = k->pes_per_thread;
-        note("pes_per_thread=" + std::to_string(k->pes_per_thread));
-      }
-      if (k->unroll_max_trip != 0 && copts.opt_level >= 2) {
-        note("unroll_max_trip=" + std::to_string(k->unroll_value()));
-      }
-      if (!applied.empty()) {
-        r.tuned = std::move(applied);
-        svc_metrics().tuner_applied.inc();
-      }
-    }
-  }
-
-  // Deterministic scheduling + fault injection. Traces are keyed on the
-  // source hash mixed with the optimization config (the optimized
-  // program has different step counts), so a stale trace against edited
-  // code or a different opt level is refused up front.
-  cfg.schedule = job.schedule;
-  cfg.perturb_seed = job.perturb_seed;
-  cfg.program_hash = opt::mix_hash(replay::fnv1a(job.source),
-                                   copts.opt_level, copts.unroll_max_trip);
-  std::shared_ptr<replay::Trace> trace;
-  if (job.schedule == replay::ScheduleMode::kReplay) {
-    std::string terr;
-    auto parsed = replay::Trace::parse(job.replay_trace, &terr);
-    if (!parsed) {
-      r.status = JobStatus::kRejected;
-      r.error = "bad replay trace: " + terr;
-      r.run_ms = ms_since(t0);
-      return r;
-    }
-    trace = std::make_shared<replay::Trace>(std::move(*parsed));
-    cfg.replay_trace = trace;
-  }
-  if (!job.fault_spec.empty()) {
-    std::string ferr;
-    if (!replay::parse_fault_spec(job.fault_spec, &cfg.fault, &ferr)) {
-      r.status = JobStatus::kRejected;
-      r.error = ferr;
-      r.run_ms = ms_since(t0);
-      return r;
-    }
-  }
-
   RunResult run = lol::run(*compiled.program, cfg);
   if (job.backend == Backend::kJit) {
     // A first JIT run memoized sealed machine code on the cached
     // program; fold those bytes into the compile cache's byte budget.
-    cache_.recharge(job.source, copts);
+    cache_.recharge(job.source, rs.compile);
   }
   const double setup_start = queue_ms + compile_ms;
   const double claim_start = setup_start + run.setup_ms;

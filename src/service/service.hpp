@@ -95,12 +95,11 @@ struct ServiceOptions {
   int default_tenant_weight = 1;
 
   /// Durable auto-tuner store (opt::TunerStore file path; "" disables).
-  /// When set, each executing job looks up the persisted tuned knobs
-  /// for its (program hash, n_pes) and applies every knob the job left
-  /// at its default — an explicit executor/radix/packing request always
-  /// wins over the tuner. Applied knobs are reported in
-  /// JobResult::tuned. Outputs are knob-invariant by construction, so
-  /// this only ever changes wall-clock.
+  /// Each job gets the persisted knobs for its (program, n_pes) on every
+  /// knob it leaves at Job's default (resolve() in run_request.hpp);
+  /// applied knobs are reported in JobResult::tuned. Outputs are
+  /// knob-invariant by construction, so this only ever changes
+  /// wall-clock.
   std::string tuner_cache_path;
 
   /// When true, workers are not started by the constructor; jobs queue up

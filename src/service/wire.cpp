@@ -7,9 +7,12 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
+
+#include "driver/cli.hpp"
+#include "service/run_request.hpp"
 
 namespace lol::service::wire {
 
@@ -153,6 +156,7 @@ struct Parser {
     if (end != num.c_str() + num.size()) return fail("bad number");
     out.kind = Json::Kind::kNumber;
     out.num = v;
+    out.str = std::move(num);
     return true;
   }
 
@@ -188,24 +192,125 @@ struct Parser {
   }
 };
 
-/// Reads an unsigned integer member with a default. Untrusted input:
-/// non-finite, negative or absurdly large numbers fall back — casting
-/// inf/1e400 to uint64_t would be undefined behavior.
-std::uint64_t u64_or(const Json& obj, std::string_view key,
-                     std::uint64_t fallback) {
-  constexpr double kMax = 9.0e18;  // < 2^63, exactly representable
-  const Json* v = obj.find(key);
-  if (v == nullptr || !v->is(Json::Kind::kNumber)) return fallback;
-  double d = v->num;
-  if (!std::isfinite(d) || d < 0 || d > kMax) return fallback;
-  return static_cast<std::uint64_t>(d);
+using Op = Request::Op;
+constexpr std::pair<const char*, Op> kOps[] = {
+    {"submit", Op::kSubmit}, {"cancel", Op::kCancel},
+    {"stats", Op::kStats},   {"metrics", Op::kMetrics},
+    {"ping", Op::kPing},     {"shutdown", Op::kShutdown}};
+
+/// A member as the request wrote it (a number's literal, a string
+/// quoted), so a value of the wrong JSON type fails in its parser with
+/// the quotes shown: `"n_pes":"2"` is "bad n_pes '"2"' ...".
+std::string as_written(const Json& v) {
+  switch (v.kind) {
+    case Json::Kind::kNull: return "null";
+    case Json::Kind::kBool: return v.b ? "true" : "false";
+    case Json::Kind::kNumber: return v.str;
+    case Json::Kind::kString: return quote(v.str);
+    case Json::Kind::kArray: return "[...]";
+    case Json::Kind::kObject: return "{...}";
+  }
+  return "";
 }
 
-std::string str_or(const Json& obj, std::string_view key,
-                   std::string fallback) {
-  const Json* v = obj.find(key);
-  if (v == nullptr || !v->is(Json::Kind::kString)) return fallback;
-  return v->str;
+/// Hands member `key`, when present, to `set(value, key)`. The value is
+/// a string's text when `string`, else a number's literal (so integers
+/// decode exactly from their digits); a value of another JSON type goes
+/// as written. False + `*error` when the value is refused.
+template <class Set>
+bool member(const Json& doc, std::string_view key, bool string, Set set,
+            std::string* error) {
+  const Json* v = doc.find(key);
+  if (v == nullptr) return true;
+  const bool typed = v->is(string ? Json::Kind::kString : Json::Kind::kNumber);
+  const std::string value = typed ? v->str : as_written(*v);
+  *error = set(value, key);
+  // A numeric parser refuses every non-number; free text (a trace) takes
+  // anything, so a string member checks its type after the parser.
+  if (error->empty() && !typed) {
+    *error = driver::bad_value(key, value, "a string");
+  }
+  return error->empty();
+}
+
+auto text_into(std::string* out) {
+  return [out](const std::string& v, std::string_view) {
+    *out = v;
+    return std::string();
+  };
+}
+
+auto u64_into(std::uint64_t* out) {
+  return [out](const std::string& v, std::string_view key) {
+    auto n = driver::parse_uint(v);
+    if (n) *out = *n;
+    return n ? "" : driver::bad_value(key, v, "an unsigned 64-bit integer");
+  };
+}
+
+bool parse_submit(const Json& doc, Job& job, std::string* error) {
+  const Json* src = doc.find("source");
+  if (src == nullptr || !src->is(Json::Kind::kString)) {
+    *error = "submit requires a string 'source'";
+    return false;
+  }
+  job.source = src->str;
+  job.name = "anonymous";
+  std::string schedule = "none";
+  if (!member(doc, "name", true, text_into(&job.name), error) ||
+      !member(doc, "tenant", true, text_into(&job.tenant), error) ||
+      !member(doc, "schedule", true, text_into(&schedule), error) ||
+      !member(doc, "deadline_ms", false, u64_into(&job.deadline_ms), error)) {
+    return false;
+  }
+  // The run knobs go through the parsers the CLI flags use; the service
+  // clamps n_pes to its max_pes afterwards.
+  for (const Knob& k : knobs()) {
+    auto set = [&](const std::string& v, auto key) {
+      return k.set(job, v, key);
+    };
+    if (!member(doc, k.key, k.text, set, error)) return false;
+  }
+  if (const Json* lines = doc.find("stdin"); lines != nullptr) {
+    bool ok = lines->is(Json::Kind::kArray);
+    for (const Json& l : lines->arr) {
+      ok = ok && l.is(Json::Kind::kString);
+      if (ok) job.stdin_lines.push_back(l.str);
+    }
+    if (!ok) {
+      *error = driver::bad_value("stdin", as_written(*lines),
+                                 "an array of strings");
+      return false;
+    }
+  }
+  // The replay trace itself is checked when the job resolves.
+  using replay::ScheduleMode;
+  for (ScheduleMode m : {ScheduleMode::kNone, ScheduleMode::kRecord,
+                         ScheduleMode::kPerturb, ScheduleMode::kReplay}) {
+    if (schedule == replay::to_string(m)) {
+      job.schedule = m;
+      return true;
+    }
+  }
+  *error = "unknown schedule '" + schedule + "'";
+  return false;
+}
+
+bool parse_op(const Json& doc, Request& req, std::string* error) {
+  std::string op;
+  if (!member(doc, "op", true, text_into(&op), error)) return false;
+  auto it = std::find_if(std::begin(kOps), std::end(kOps),
+                         [&op](const auto& o) { return op == o.first; });
+  if (it == std::end(kOps)) {
+    *error = "unknown op '" + op + "'";
+    return false;
+  }
+  req.op = it->second;
+  if (req.op == Op::kSubmit) return parse_submit(doc, req.job, error);
+  if (req.op != Op::kCancel) return true;
+  if (!member(doc, "id", false, u64_into(&req.id), error)) return false;
+  if (req.id == 0) *error = "cancel requires a nonzero integer 'id'";
+  return req.id != 0;
 }
 
 std::string json_array(const std::vector<std::string>& items) {
@@ -277,129 +382,17 @@ std::string quote(std::string_view s) {
 
 std::optional<Request> parse_request(const std::string& line,
                                      std::string* error) {
-  auto doc = parse_json(line, error);
-  if (!doc) return std::nullopt;
-  if (!doc->is(Json::Kind::kObject)) {
-    if (error != nullptr) *error = "request must be a JSON object";
-    return std::nullopt;
-  }
-  std::string op = str_or(*doc, "op", "");
+  std::string err;
   Request req;
-  if (op == "submit") {
-    req.op = Request::Op::kSubmit;
-    const Json* src = doc->find("source");
-    if (src == nullptr || !src->is(Json::Kind::kString)) {
-      if (error != nullptr) *error = "submit requires a string 'source'";
-      return std::nullopt;
-    }
-    req.job.source = src->str;
-    req.job.name = str_or(*doc, "name", "anonymous");
-    req.job.tenant = str_or(*doc, "tenant", "");
-    // The service clamps to its max_pes; this bound only keeps the
-    // u64->int narrowing well-behaved for hostile values.
-    req.job.n_pes = static_cast<int>(
-        std::min<std::uint64_t>(u64_or(*doc, "n_pes", 1), 4096));
-    req.job.seed = u64_or(*doc, "seed", req.job.seed);
-    req.job.max_steps = u64_or(*doc, "max_steps", 0);
-    req.job.deadline_ms = u64_or(*doc, "deadline_ms", 0);
-    req.job.heap_bytes = static_cast<std::size_t>(
-        u64_or(*doc, "heap_bytes", req.job.heap_bytes));
-    std::string backend = str_or(*doc, "backend", "vm");
-    if (auto b = backend_from_name(backend)) {
-      req.job.backend = *b;
-    } else {
-      if (error != nullptr) *error = "unknown backend '" + backend + "'";
-      return std::nullopt;
-    }
-    std::string executor =
-        str_or(*doc, "executor", shmem::to_string(req.job.executor));
-    if (auto e = shmem::executor_from_name(executor)) {
-      req.job.executor = *e;
-    } else {
-      if (error != nullptr) *error = "unknown executor '" + executor + "'";
-      return std::nullopt;
-    }
-    // Same narrowing guard as n_pes; the engine treats 0 as auto.
-    req.job.pes_per_thread = static_cast<int>(
-        std::min<std::uint64_t>(u64_or(*doc, "pes_per_thread", 0), 4096));
-    // Combining-tree fan-in; < 2 means auto, results are radix-invariant.
-    req.job.barrier_radix = static_cast<int>(
-        std::min<std::uint64_t>(u64_or(*doc, "barrier_radix", 0), 4096));
-    // Optimization level. Unlike the lenient numeric knobs above, a
-    // malformed value is a protocol error: silently compiling at a
-    // different level than the client asked for would change step
-    // counts under it (unrolling re-shapes loops), so "opt_level":-1
-    // or "opt_level":"max" must be refused, not defaulted.
-    if (const Json* lvl = doc->find("opt_level"); lvl != nullptr) {
-      bool valid = lvl->is(Json::Kind::kNumber) && std::isfinite(lvl->num) &&
-                   lvl->num == std::floor(lvl->num) && lvl->num >= 0.0 &&
-                   lvl->num <= 2.0;
-      if (!valid) {
-        if (error != nullptr) {
-          *error = "opt_level must be an integer in 0..2";
-        }
-        return std::nullopt;
-      }
-      req.job.opt_level = static_cast<int>(lvl->num);
-    }
-    if (const Json* lines = doc->find("stdin");
-        lines != nullptr && lines->is(Json::Kind::kArray)) {
-      for (const Json& l : lines->arr) {
-        if (l.is(Json::Kind::kString)) req.job.stdin_lines.push_back(l.str);
-      }
-    }
-    // Deterministic scheduling + fault injection. "schedule" and the
-    // trace/fault payloads are validated by the service (bad values
-    // resolve the job as kRejected with a diagnostic), except the mode
-    // name itself, which is a protocol error like an unknown backend.
-    std::string schedule = str_or(*doc, "schedule", "none");
-    if (schedule == "none") {
-      req.job.schedule = replay::ScheduleMode::kNone;
-    } else if (schedule == "record") {
-      req.job.schedule = replay::ScheduleMode::kRecord;
-    } else if (schedule == "perturb") {
-      req.job.schedule = replay::ScheduleMode::kPerturb;
-    } else if (schedule == "replay") {
-      req.job.schedule = replay::ScheduleMode::kReplay;
-    } else {
-      if (error != nullptr) *error = "unknown schedule '" + schedule + "'";
-      return std::nullopt;
-    }
-    req.job.perturb_seed = u64_or(*doc, "perturb_seed", 0);
-    req.job.replay_trace = str_or(*doc, "replay", "");
-    req.job.fault_spec = str_or(*doc, "fault", "");
+  auto doc = parse_json(line, &err);
+  if (doc && !doc->is(Json::Kind::kObject)) {
+    err = "request must be a JSON object";
+  } else if (doc && parse_op(*doc, req, &err)) {
     return req;
   }
-  if (op == "cancel") {
-    req.op = Request::Op::kCancel;
-    req.id = u64_or(*doc, "id", 0);
-    if (req.id == 0) {
-      if (error != nullptr) *error = "cancel requires a numeric 'id'";
-      return std::nullopt;
-    }
-    return req;
-  }
-  if (op == "stats") {
-    req.op = Request::Op::kStats;
-    return req;
-  }
-  if (op == "metrics") {
-    req.op = Request::Op::kMetrics;
-    return req;
-  }
-  if (op == "ping") {
-    req.op = Request::Op::kPing;
-    return req;
-  }
-  if (op == "shutdown") {
-    req.op = Request::Op::kShutdown;
-    return req;
-  }
-  if (error != nullptr) *error = "unknown op '" + op + "'";
+  if (error != nullptr) *error = std::move(err);
   return std::nullopt;
 }
-
-const char* backend_name(Backend b) { return lol::to_string(b); }
 
 #if !defined(_WIN32)
 
@@ -440,23 +433,15 @@ std::optional<std::string> LineReader::next() {
 #endif  // !_WIN32
 
 std::string submit_line(const Job& job) {
-  auto n = [](std::uint64_t v) { return std::to_string(v); };
-  return "{\"op\":\"submit\",\"name\":" + quote(job.name) +
-         ",\"source\":" + quote(job.source) +
-         ",\"tenant\":" + quote(job.tenant) +
-         ",\"n_pes\":" + std::to_string(job.n_pes) +
-         ",\"backend\":\"" + backend_name(job.backend) + "\"" +
-         ",\"executor\":\"" + shmem::to_string(job.executor) + "\"" +
-         ",\"pes_per_thread\":" + std::to_string(job.pes_per_thread) +
-         ",\"barrier_radix\":" + std::to_string(job.barrier_radix) +
-         ",\"opt_level\":" + std::to_string(job.opt_level) +
-         ",\"seed\":" + n(job.seed) + ",\"max_steps\":" + n(job.max_steps) +
-         ",\"deadline_ms\":" + n(job.deadline_ms) +
-         ",\"heap_bytes\":" + n(job.heap_bytes) +
+  std::string out = "{\"op\":\"submit\",\"name\":" + quote(job.name) +
+                    ",\"source\":" + quote(job.source) +
+                    ",\"tenant\":" + quote(job.tenant);
+  for (const Knob& k : knobs()) {
+    const std::string v = k.get(job);
+    out += ",\"" + std::string(k.key) + "\":" + (k.text ? quote(v) : v);
+  }
+  return out + ",\"deadline_ms\":" + std::to_string(job.deadline_ms) +
          ",\"schedule\":\"" + replay::to_string(job.schedule) + "\"" +
-         ",\"perturb_seed\":" + n(job.perturb_seed) +
-         ",\"replay\":" + quote(job.replay_trace) +
-         ",\"fault\":" + quote(job.fault_spec) +
          ",\"stdin\":" + json_array(job.stdin_lines) + "}";
 }
 
@@ -465,15 +450,11 @@ std::string cancel_request_line(JobId id) {
 }
 
 std::string request_line(const Request& req) {
-  switch (req.op) {
-    case Request::Op::kSubmit: return submit_line(req.job);
-    case Request::Op::kCancel: return cancel_request_line(req.id);
-    case Request::Op::kStats: return "{\"op\":\"stats\"}";
-    case Request::Op::kMetrics: return "{\"op\":\"metrics\"}";
-    case Request::Op::kPing: return "{\"op\":\"ping\"}";
-    case Request::Op::kShutdown: return "{\"op\":\"shutdown\"}";
-  }
-  return "{\"op\":\"ping\"}";
+  if (req.op == Op::kSubmit) return submit_line(req.job);
+  if (req.op == Op::kCancel) return cancel_request_line(req.id);
+  auto it = std::find_if(std::begin(kOps), std::end(kOps),
+                         [&req](const auto& o) { return req.op == o.second; });
+  return "{\"op\":\"" + std::string(it->first) + "\"}";
 }
 
 std::string accepted_line(JobId id, const Job& job) {

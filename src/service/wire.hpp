@@ -8,16 +8,15 @@
 // completions back until the id has been announced).
 //
 // Requests:
-//   {"op":"submit","source":"HAI ...","name":"lab1","n_pes":4,
-//    "tenant":"alice","deadline_ms":200,"max_steps":100000,
-//    "heap_bytes":1048576,"backend":"vm","seed":7,"stdin":["line1"],
-//    "executor":"pool","pes_per_thread":0,"barrier_radix":0,
-//    "opt_level":2}
-//   ("executor" picks the PE mapping: pool (default), thread, or fiber
-//    for n_pes far beyond the host's cores; "barrier_radix" tunes the
-//    combining-tree fan-in, < 2 = auto, results are radix-invariant;
-//    "opt_level" is the optimizing middle-end level 0..2, default 2 —
-//    a non-integer or out-of-range value is a protocol error)
+//   {"op":"submit","source":"HAI ...","name":"lab1","tenant":"alice",
+//    "deadline_ms":200,"stdin":["line1"],"schedule":"none", ...}
+//   (plus one member per run knob, keyed and parsed as in the knob
+//    table, service/run_request.hpp: PE count, backend, executor, fiber
+//    packing, barrier fan-in, heap, seed, step budget, opt level,
+//    perturbation seed, replay trace text and fault spec. A knob value
+//    the knob's parser rejects, or a member of the wrong JSON type, is
+//    a protocol error naming the key, never a silent default. Integers
+//    decode exactly over the whole u64 range.)
 //   {"op":"cancel","id":7}
 //   {"op":"stats"}   {"op":"metrics"}   {"op":"ping"}   {"op":"shutdown"}
 //
@@ -52,7 +51,7 @@ struct Json {
   Kind kind = Kind::kNull;
   bool b = false;
   double num = 0.0;
-  std::string str;
+  std::string str;  // kString: the text; kNumber: the literal as written
   std::vector<Json> arr;
   std::vector<std::pair<std::string, Json>> obj;
 
@@ -81,15 +80,9 @@ struct Request {
 std::optional<Request> parse_request(const std::string& line,
                                      std::string* error);
 
-/// Wire name of a backend ("interp" / "vm" / "jit").
-[[nodiscard]] const char* backend_name(Backend b);
-
 // -- request serializers (no trailing newline) ------------------------------
-// The client-side half of the protocol: scripts, tests and a future
-// `lolserve --client` build request lines with these instead of
-// hand-rolling JSON. parse_request(request_line(r)) round-trips every
-// field whose value survives the JSON number model (IEEE doubles: keep
-// u64s below 2^53).
+// The client-side half of the protocol (`lolserve --client`, tests).
+// parse_request(request_line(r)) round-trips every field, u64s included.
 std::string submit_line(const Job& job);
 std::string cancel_request_line(JobId id);
 std::string request_line(const Request& req);

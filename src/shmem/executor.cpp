@@ -39,9 +39,10 @@ const char* to_string(ExecutorKind k) {
 }
 
 std::optional<ExecutorKind> executor_from_name(std::string_view name) {
-  if (name == "thread") return ExecutorKind::kThread;
-  if (name == "pool") return ExecutorKind::kPool;
-  if (name == "fiber") return ExecutorKind::kFiber;
+  for (ExecutorKind k :
+       {ExecutorKind::kThread, ExecutorKind::kPool, ExecutorKind::kFiber}) {
+    if (name == to_string(k)) return k;
+  }
   return std::nullopt;
 }
 

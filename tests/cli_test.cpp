@@ -16,6 +16,7 @@
 
 #include "codegen/jit_backend.hpp"
 #include "driver/cli.hpp"
+#include "service/run_request.hpp"
 
 #ifndef LOLRUN_BIN
 #define LOLRUN_BIN "lolrun"
@@ -132,6 +133,15 @@ TEST(LolrunCli, TagPrefixesPeIds) {
   EXPECT_EQ(r.status, 0);
   EXPECT_NE(r.output.find("[pe0] yo"), std::string::npos);
   EXPECT_NE(r.output.find("[pe1] yo"), std::string::npos);
+
+  // A PE's last text without a newline is printed when the run ends,
+  // tagged `[peN!]` so it reads back apart from a terminated line.
+  std::string bang =
+      write_program("tag_bang", "HAI 1.2\nVISIBLE \"a\" ME!\nKTHXBYE\n");
+  auto tail = run_cmd(std::string(LOLRUN_BIN) + " -np 2 --tag " + bang);
+  EXPECT_EQ(tail.status, 0) << tail.output;
+  EXPECT_NE(tail.output.find("[pe0!] a0\n"), std::string::npos) << tail.output;
+  EXPECT_NE(tail.output.find("[pe1!] a1\n"), std::string::npos) << tail.output;
 }
 
 TEST(LolrunCli, CompileErrorsExitNonZeroWithLocation) {
@@ -395,6 +405,21 @@ TEST(LolrunCli, UnknownExecutorIsRejected) {
   EXPECT_NE(r.output.find("unknown executor"), std::string::npos) << r.output;
 }
 
+/// Runs `bin` once per knob of the run-knob table with a value no knob
+/// takes ("12abc": not a number, backend, executor, fault spec or
+/// readable trace file); each must be a usage error naming the value.
+/// Looping over the table means a new knob cannot skip a surface.
+void expect_every_knob_rejects_junk(const std::string& bin,
+                                    const std::string& path) {
+  for (const lol::service::Knob& k : lol::service::knobs()) {
+    auto r = run_cmd(bin + " " + k.flag + " 12abc " + path);
+    ASSERT_TRUE(WIFEXITED(r.status)) << k.flag << ": " << r.output;
+    EXPECT_EQ(WEXITSTATUS(r.status), 2) << k.flag << ": " << r.output;
+    EXPECT_NE(r.output.find("'12abc'"), std::string::npos)
+        << k.flag << ": " << r.output;
+  }
+}
+
 // Every numeric flag parses strictly: trailing junk, signs on unsigned
 // values and out-of-range values are usage errors (exit 2) instead of
 // silently running with whatever prefix atoi/strtoull made of them.
@@ -411,6 +436,7 @@ TEST(LolrunCli, MalformedNumericFlagsAreUsageErrors) {
     EXPECT_NE(r.output.find("bad "), std::string::npos)
         << flags << ": " << r.output;
   }
+  expect_every_knob_rejects_junk(LOLRUN_BIN, path);
   auto ok = run_cmd(std::string(LOLRUN_BIN) +
                     " -np 2 --barrier-radix 4 --max-steps 100000 "
                     "--seed 18446744073709551615 " + path);
@@ -470,7 +496,9 @@ TEST(LolserveCli, ClientCancelAfterMsKillsItsOwnSpinningJob) {
   // the useful client form is --cancel-after-ms: submit, then cancel
   // whatever is still running on the same connection. A spinning job
   // with no step budget must come back "cancelled" and the client must
-  // treat that as the expected outcome (exit 0).
+  // treat that as the expected outcome (exit 0). A client's --max-steps
+  // is the job's own budget, sent on the wire: the same job given one
+  // ends "step-limit" (exit 1) against this unlimited daemon.
   std::string job = write_program(
       "cancelme", "HAI 1.2\nIM IN YR l\nIM OUTTA YR l\nKTHXBYE\n");
   std::string sock = "/tmp/parallol_cli_cancel.sock";
@@ -482,6 +510,8 @@ TEST(LolserveCli, ClientCancelAfterMsKillsItsOwnSpinningJob) {
       "i=0; while [ $i -lt 50 ] && [ ! -S " + sock + " ]; do "
       "sleep 0.1; i=$((i+1)); done; " +
       client + " --cancel-after-ms 200 " + job + "; echo cancel_rc=$?; " +
+      client + " --max-steps 10000 --cancel-after-ms 5000 " + job +
+      "; echo steps_rc=$?; " +
       client + " --shutdown >/dev/null; "
       "wait $pid; }";
   auto r = run_cmd(script);
@@ -490,6 +520,9 @@ TEST(LolserveCli, ClientCancelAfterMsKillsItsOwnSpinningJob) {
   EXPECT_NE(r.output.find("\"status\":\"cancelled\""), std::string::npos)
       << r.output;
   EXPECT_NE(r.output.find("cancel_rc=0"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("\"status\":\"step-limit\""), std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("steps_rc=1"), std::string::npos) << r.output;
 }
 
 TEST(LolserveCli, ClientFailsCleanlyWithNoDaemon) {
@@ -542,10 +575,39 @@ TEST(LolserveCli, MalformedNumericFlagsAreUsageErrors) {
                      path);
     EXPECT_EQ(WEXITSTATUS(r.status), 2) << flags << ": " << r.output;
   }
+  expect_every_knob_rejects_junk(std::string(LOLSERVE_BIN) + " --quiet",
+                                 path);
   auto ok = run_cmd(std::string(LOLSERVE_BIN) +
                     " --quiet --workers 1 --repeat 2 -np 2 --max-steps 1000 " +
                     path);
   EXPECT_EQ(ok.status, 0) << ok.output;
+}
+
+// Daemon mode and the client one-shots take no job files and no per-job
+// flags: an argument left over is a usage error naming it, before any
+// socket is opened. (`timeout` turns a daemon that starts anyway into a
+// failure instead of a hang.)
+TEST(LolserveCli, LeftoverArgumentsAreUsageErrors) {
+  const std::string bin = std::string("timeout 10 ") + LOLSERVE_BIN;
+  const std::pair<std::string, std::string> cases[] = {
+      {"--daemon --listen unix:/tmp/parallol_cli_never.sock --frobnicate",
+       "--frobnicate"},
+      {"--daemon --listen unix:/tmp/parallol_cli_never.sock --backend bogus "
+       "-np 9",
+       "--backend"},
+      {"--client --connect unix:/tmp/parallol_no_such.sock --ping job.lol",
+       "job.lol"},
+      {"--client --connect unix:/tmp/parallol_no_such.sock --stats -np 4",
+       "-np"},
+  };
+  for (const auto& [args, leftover] : cases) {
+    auto r = run_cmd(bin + " " + args);
+    ASSERT_TRUE(WIFEXITED(r.status)) << args << ": " << r.output;
+    EXPECT_EQ(WEXITSTATUS(r.status), 2) << args << ": " << r.output;
+    EXPECT_NE(r.output.find("unexpected argument '" + leftover + "'"),
+              std::string::npos)
+        << args << ": " << r.output;
+  }
 }
 
 // --replay follows lolrun's rules: it excludes --record/--perturb-seed,

@@ -21,6 +21,7 @@
 
 #include "service/daemon.hpp"
 #include "service/service.hpp"
+#include "service/run_request.hpp"
 #include "service/wire.hpp"
 
 namespace {
@@ -500,11 +501,9 @@ TEST(Wire, OptLevelDefaultsAndRejectsMalformedValues) {
 
 // ---------------------------------------------------------------------------
 // Property-style round-trips: serialize -> parse must be the identity for
-// random requests and events (the protocol is NDJSON over IEEE doubles,
-// so generated u64s stay below 2^50 — larger values are not representable
-// on the wire by design). Seeded from the hostile-number hardening in the
-// daemon: the same u64_or bounds that reject inf/1e400 must not clip
-// legitimate payloads.
+// random requests and events, u64s over their whole range. Seeded from
+// the hostile-number hardening in the daemon: the strict parsers that
+// reject inf/1e400 must not clip legitimate payloads.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -523,8 +522,9 @@ std::string random_text(std::mt19937_64& rng, std::size_t max_len) {
 }
 
 std::uint64_t random_u64(std::mt19937_64& rng) {
-  // Wire numbers are doubles: keep below 2^50 so the value is exact.
-  return rng() & ((1ULL << 50) - 1);
+  // The whole u64 range: integers decode from the number's text, not
+  // through a double.
+  return rng();
 }
 
 }  // namespace
@@ -688,6 +688,43 @@ TEST(Wire, MalformedRequestsAreRejectedWithErrors) {
     auto req = wire::parse_request(line, &err);
     EXPECT_FALSE(req.has_value()) << "accepted: " << line;
     EXPECT_FALSE(err.empty()) << "no diagnostic for: " << line;
+  }
+
+  // Knob values the wire used to default silently: each is refused with
+  // the diagnosis of the parser the CLI flag uses, naming the key.
+  const std::pair<const char*, const char*> knob_cases[] = {
+      {R"("n_pes":"2")", "bad n_pes '\"2\"' (want an integer in [1, 4096])"},
+      {R"("n_pes":2.5)", "bad n_pes '2.5' (want an integer in [1, 4096])"},
+      {R"("n_pes":-3)", "bad n_pes '-3' (want an integer in [1, 4096])"},
+      {R"("n_pes":99999)", "bad n_pes '99999' (want an integer in [1, 4096])"},
+      {R"("max_steps":"10")",
+       "bad max_steps '\"10\"' (want an unsigned 64-bit integer)"},
+      {R"("backend":5)", "unknown backend '5'"},
+      {R"("stdin":["a",3])", "bad stdin '[...]' (want an array of strings)"},
+      {R"("pes_per_thread":"x")",
+       "bad pes_per_thread '\"x\"' (want an integer in [0, 4096])"},
+      {R"("replay":7)", "bad replay '7' (want a string)"},
+      {R"("fault":"pe=1")", "bad fault spec"},
+      {R"("deadline_ms":1.5)",
+       "bad deadline_ms '1.5' (want an unsigned 64-bit integer)"},
+      {R"("seed":18446744073709551616)",
+       "bad seed '18446744073709551616' (want an unsigned 64-bit integer)"},
+  };
+  for (const auto& [member, diagnosis] : knob_cases) {
+    const std::string line =
+        std::string(R"({"op":"submit","source":"HAI",)") + member + "}";
+    std::string err;
+    EXPECT_FALSE(wire::parse_request(line, &err).has_value()) << line;
+    EXPECT_EQ(err.rfind(diagnosis, 0), 0u) << line << " -> " << err;
+  }
+  // Every knob in the table is checked: a value of the wrong JSON type is
+  // an error that names the knob's key.
+  for (const lol::service::Knob& k : lol::service::knobs()) {
+    const std::string line = std::string(R"({"op":"submit","source":"HAI",")") +
+                             k.key + R"(":[1]})";
+    std::string err;
+    EXPECT_FALSE(wire::parse_request(line, &err).has_value()) << line;
+    EXPECT_NE(err.find(k.key), std::string::npos) << line << " -> " << err;
   }
 
   // Nesting deeper than the parser's bound is rejected, not recursed.

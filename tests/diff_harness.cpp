@@ -234,18 +234,21 @@ LccBuilds& lcc_builds() {
   return builds;
 }
 
-/// Splits `[peK] `-tagged output back into per-PE streams; untagged
-/// lines go to `untagged`.
+/// Splits `[peK] `-tagged output back into per-PE streams; a PE's
+/// last text without a newline comes tagged `[peK!] ` and gets none
+/// back. Untagged lines go to `untagged`.
 void split_tagged(const std::string& text, std::vector<std::string>& per_pe,
                   std::string& untagged) {
   std::istringstream in(text);
   for (std::string line; std::getline(in, line);) {
-    const std::size_t close = line.find("] ");
+    std::size_t close = line.find("] ");
     if (line.rfind("[pe", 0) == 0 && close != std::string::npos) {
+      const bool tail = line[close - 1] == '!';
       if (auto pe = driver::parse_int(
-              std::string_view(line).substr(3, close - 3), 0,
+              std::string_view(line).substr(3, close - 3 - (tail ? 1 : 0)), 0,
               static_cast<std::int64_t>(per_pe.size()) - 1)) {
-        per_pe[static_cast<std::size_t>(*pe)] += line.substr(close + 2) + "\n";
+        per_pe[static_cast<std::size_t>(*pe)] +=
+            line.substr(close + 2) + (tail ? "" : "\n");
         continue;
       }
     }
@@ -263,7 +266,7 @@ bool lcc_runs(const Spec& spec) {
 }
 
 /// Runs one spec as an lcc executable with `-np N --seed S --max-steps
-/// M --heap H --tag` and the spec's stdin lines, and splits its tagged
+/// M --heap-bytes H --tag` and the spec's stdin lines, and splits its tagged
 /// output back into per-PE streams. Exit status 0/1/3 maps to
 /// ok/runtime-error/step-limit, an lcc failure to compile-error.
 /// Untagged stderr (the executable's "error: ..." reports, sanitizer
@@ -288,7 +291,7 @@ BackendRun run_lcc(const Spec& spec) {
   const std::string cmd =
       "'" + build.exe + "' -np " + std::to_string(spec.n_pes) + " --seed " +
       std::to_string(spec.seed) + " --max-steps " +
-      std::to_string(spec.max_steps) + " --heap " +
+      std::to_string(spec.max_steps) + " --heap-bytes " +
       std::to_string(spec.heap_bytes) + " --tag <'" + stem + ".in' >'" +
       stem + ".out' 2>'" + stem + ".err'";
   const int status = std::system(cmd.c_str());

@@ -379,6 +379,15 @@ TEST(Differential, EdgeCaseTable) {
       "VISIBLE \"to stdout\"\n"
       "INVISIBLE \"to stderr\"\n"));
 
+  // Output ending without a newline (`!`): the lcc column reads each
+  // PE's tail back from the executable's `[peN!]` tags.
+  specs.push_back(make(
+      "visible-bang-tail",
+      "VISIBLE \"line\"\n"
+      "VISIBLE \"tail \" ME!\n"
+      "INVISIBLE \"err \" ME!\n",
+      2));
+
   specs.push_back(make(
       "gimmeh-lines-and-eof",
       "I HAS A x\nI HAS A y\nI HAS A z\n"

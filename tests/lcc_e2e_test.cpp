@@ -221,14 +221,16 @@ TEST(LccE2E, FlagsParseStrictly) {
   const std::string too_many = std::to_string(lol::shmem::kMaxPes + 1);
   for (const std::string& flags : std::vector<std::string>{
            "-np 2x", "-np 0", "-np " + too_many, "--seed 12abc",
-           "--max-steps -1", "--heap 1e6"}) {
+           "--max-steps -1", "--heap-bytes 1e6"}) {
     auto r = run_cmd(exe + " " + flags + " 2>&1");
     ASSERT_TRUE(WIFEXITED(r.status)) << flags << ": " << r.output;
     EXPECT_EQ(WEXITSTATUS(r.status), 2) << flags << ": " << r.output;
     EXPECT_NE(r.output.find("bad "), std::string::npos)
         << flags << ": " << r.output;
   }
-  for (const char* flags : {"--bogus", "--seed"}) {
+  // `--heap` was the executables' own spelling; lolrun's --heap-bytes
+  // replaced it, with no alias.
+  for (const char* flags : {"--bogus", "--seed", "--heap 65536"}) {
     auto r = run_cmd(exe + " " + flags + " 2>&1");
     EXPECT_EQ(WEXITSTATUS(r.status), 2) << flags << ": " << r.output;
     EXPECT_NE(r.output.find("usage:"), std::string::npos)
@@ -237,10 +239,10 @@ TEST(LccE2E, FlagsParseStrictly) {
 
   auto ok = run_cmd(exe +
                     " -np 2 --seed 18446744073709551615 --max-steps 100000 "
-                    "--heap 65536 2>&1");
+                    "--heap-bytes 65536 2>&1");
   EXPECT_EQ(ok.status, 0) << ok.output;
 
-  auto heap = run_cmd(exe + " -np 2 --heap 18446744073709551615 2>&1");
+  auto heap = run_cmd(exe + " -np 2 --heap-bytes 18446744073709551615 2>&1");
   ASSERT_TRUE(WIFEXITED(heap.status)) << heap.output;
   EXPECT_EQ(WEXITSTATUS(heap.status), 1) << heap.output;
   EXPECT_NE(heap.output.find("error: symmetric heap of 18446744073709551615 "

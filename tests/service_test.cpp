@@ -25,6 +25,7 @@
 #include "opt/tuner.hpp"
 #include "replay/trace.hpp"
 #include "service/compile_cache.hpp"
+#include "service/run_request.hpp"
 #include "service/service.hpp"
 #include "shmem/executor.hpp"
 
@@ -503,6 +504,47 @@ TEST(Service, TunerAppliesPersistedKnobsOnWarmRuns) {
   EXPECT_EQ(r2.tuned.find("executor="), std::string::npos) << r2.tuned;
   EXPECT_EQ(r.pe_output, r2.pe_output);
 
+  std::remove(path.c_str());
+}
+
+// The one "what a request pins" rule, shared by lolrun and the service:
+// the tuner fills in a knob only where the request equals the surface's
+// default request, and never under record/replay.
+TEST(Service, ResolveTunesOnlyKnobsLeftAtTheSurfaceDefault) {
+  std::string path =
+      "/tmp/lol_resolve_test_" + std::to_string(::getpid()) + ".knobs";
+  std::remove(path.c_str());
+  lol::opt::TunerStore store(path);
+  lol::opt::TunedKnobs k;
+  k.barrier_radix = 4;
+  k.executor = "fiber";
+  k.pes_per_thread = 2;
+  store.store(lol::replay::fnv1a(kSum), 4, k);
+
+  Job lolrun_defaults;  // lolrun's default executor is the thread one
+  lolrun_defaults.executor = lol::shmem::ExecutorKind::kThread;
+  ServiceOptions caps;
+  Job job = lolrun_defaults;
+  job.source = kSum;
+  job.n_pes = 4;
+  auto r = lol::service::resolve(job, lolrun_defaults, caps, &store);
+  EXPECT_EQ(r.tuned, "barrier_radix=4 executor=fiber pes_per_thread=2");
+  EXPECT_EQ(r.run.executor, lol::shmem::ExecutorKind::kFiber);
+  EXPECT_EQ(r.run.barrier_radix, 4);
+
+  // The pool is the service's default but an explicit choice for lolrun;
+  // a pinned radix stays too, and packing follows the executor.
+  job.executor = lol::shmem::ExecutorKind::kPool;
+  job.barrier_radix = 8;
+  r = lol::service::resolve(job, lolrun_defaults, caps, &store);
+  EXPECT_EQ(r.tuned, "");
+  EXPECT_EQ(r.run.executor, lol::shmem::ExecutorKind::kPool);
+  EXPECT_EQ(r.run.barrier_radix, 8);
+  r = lol::service::resolve(job, Job{}, caps, &store);
+  EXPECT_EQ(r.tuned, "executor=fiber pes_per_thread=2");
+
+  job.schedule = lol::replay::ScheduleMode::kRecord;
+  EXPECT_EQ(lol::service::resolve(job, Job{}, caps, &store).tuned, "");
   std::remove(path.c_str());
 }
 

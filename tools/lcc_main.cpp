@@ -13,6 +13,7 @@
 #include "codegen/c_emitter.hpp"
 #include "core/engine.hpp"
 #include "driver/cli.hpp"
+#include "service/run_request.hpp"
 #include "support/error.hpp"
 
 #ifndef LCC_INCLUDE_DIR
@@ -36,10 +37,12 @@ int usage(const char* prog) {
                "with --emit-c\n"
                "  --emit-c     write the generated C instead of compiling\n"
                "  --cc <cc>    host C compiler (default: $CC or cc)\n"
-               "  --opt-level <L>  middle-end optimization level 0..2\n"
-               "               (default 2; runs before C emission, so the\n"
-               "               host cc compiles the folded/unrolled tree)\n",
-               prog);
+               "%s"
+               "  (the optimizer runs before C emission, so the host cc\n"
+               "  compiles the folded/unrolled tree)\n",
+               prog,
+               lol::service::knob_usage(lol::service::KnobId::kOptLevel, {})
+                   .c_str());
   return 2;
 }
 
@@ -65,9 +68,11 @@ int main(int argc, char** argv) {
                            .value_or(emit_c_only ? "out.c" : "a.out");
   std::string cc = cli.option("--cc").value_or(
       std::getenv("CC") != nullptr ? std::getenv("CC") : "cc");
+  // lolrun's --opt-level, from the run-knob table.
+  lol::service::Job knobs;
+  lol::service::read_flag(cli, lol::service::KnobId::kOptLevel, knobs);
   lol::CompileOptions copts;
-  copts.opt_level = static_cast<int>(
-      cli.int_option("--opt-level", 0, 2).value_or(copts.opt_level));
+  copts.opt_level = knobs.opt_level;
   const auto& pos = cli.positional();
   if (pos.size() != 1) return usage(argv[0]);
   const std::string& input = pos[0];

@@ -43,8 +43,8 @@
 
 #include "driver/cli.hpp"
 #include "obs/metrics.hpp"
-#include "replay/trace.hpp"
 #include "service/daemon.hpp"
+#include "service/run_request.hpp"
 #include "service/service.hpp"
 #include "service/wire.hpp"
 #include "shmem/runtime.hpp"
@@ -55,7 +55,7 @@ namespace {
 
 constexpr std::int64_t kMaxInt = std::numeric_limits<int>::max();
 
-int usage(const char* prog) {
+int usage(const char* prog, const lol::service::Job& defaults) {
   std::fprintf(
       stderr,
       "usage: %s [options] <job.lol | dir>...\n"
@@ -66,27 +66,14 @@ int usage(const char* prog) {
       "  --workers <N>      worker threads (default 4)\n"
       "  --queue <N>        bounded queue capacity (default 256)\n"
       "  --policy <p>       block (default) or reject when the queue is full\n"
-      "  -np <N>            PEs per job (default 1)\n"
-      "  --backend <b>      vm (default), interp or jit\n"
-      "  --executor <e>     pool (default), thread or fiber (virtual PEs —\n"
-      "                     lets -np exceed the host's cores)\n"
-      "  --pes-per-thread <K>  fiber executor: virtual PEs per carrier\n"
-      "  --barrier-radix <R>  combining-tree barrier fan-in for batch/\n"
-      "                     client jobs (default auto; results are radix-\n"
-      "                     invariant; daemon jobs set \"barrier_radix\"\n"
-      "                     per submission on the wire)\n"
-      "  --opt-level <L>    optimizer level for batch/client jobs: 0 (off),\n"
-      "                     1 (fold, prop, dce) or 2 (adds unroll and\n"
-      "                     select; default); daemon jobs set\n"
-      "                     \"opt_level\" per submission on the wire\n"
       "  --tuner-cache <file>  durable auto-tuner store; warm jobs get\n"
-      "                     the persisted knob winners applied (see\n"
-      "                     lolrun --tune)\n"
+      "                     the persisted knob winners applied to every\n"
+      "                     knob they leave at its default (see lolrun\n"
+      "                     --tune)\n"
       "  --max-pes <N>      clamp on per-job n_pes (default 64)\n"
       "  --max-queued-per-tenant <N>  per-tenant queued-job quota; over-\n"
       "                     quota submissions get status quota-exceeded\n"
       "                     (default 0 = unlimited)\n"
-      "  --max-steps <S>    per-PE step budget (default 50000000)\n"
       "  --deadline-ms <D>  per-job wall-clock deadline (default none)\n"
       "  --tenant <name>    tenant for command-line jobs (default \"\")\n"
       "  --tenant-weights <a=2,b=1>  DRR weights for fair queueing\n"
@@ -101,10 +88,6 @@ int usage(const char* prog) {
       "  --quiet            suppress per-job lines, print the summary only\n"
       "  --record <file>    run jobs on a recorded deterministic schedule\n"
       "                     and write the trace to <file> (batch + client)\n"
-      "  --replay <file>    enforce a recorded schedule trace on the jobs\n"
-      "  --perturb-seed <S> record under a seeded schedule perturbation\n"
-      "  --fault <spec>     inject faults: pe=K@step=S, noc=F, input=N\n"
-      "                     (comma-separated; job resolves as pe-failed)\n"
       "  --daemon           serve NDJSON jobs over a socket until "
       "{\"op\":\"shutdown\"}\n"
       "  --listen <addr>    unix:/path/to.sock or tcp:PORT (default "
@@ -122,47 +105,49 @@ int usage(const char* prog) {
       "                     running jobs N ms after submission\n"
       "  --stats|--ping|--shutdown  client: one-shot daemon requests\n"
       "  --metrics          client: print the daemon's Prometheus text\n"
-      "                     exposition (decoded, scraper-ready)\n",
-      prog, prog, prog);
+      "                     exposition (decoded, scraper-ready)\n"
+      "Per-job options for batch and client jobs (daemon jobs set them on\n"
+      "the wire; outside client mode --max-steps sets the service default,\n"
+      "which daemon jobs get too):\n%s",
+      prog, prog, prog, lol::service::knob_usage(defaults).c_str());
   return 2;
 }
 
-struct JobSpec {
-  std::string path;
-  int n_pes = 0;  // 0 = use the command-line default
-  std::uint64_t max_steps = 0;
-  std::string tenant;  // empty = use the command-line default
-  std::uint64_t deadline_ms = 0;
-};
-
-/// Expands a positional argument into job specs (.lol file or directory).
-bool expand_path(const std::string& arg, std::vector<JobSpec>& out) {
+/// Expands a positional argument into jobs (.lol file or directory),
+/// each a copy of `tmpl` named after its path.
+bool expand_path(const std::string& arg, const lol::service::Job& tmpl,
+                 std::vector<lol::service::Job>& out) {
   std::error_code ec;
+  std::vector<std::string> found;
   if (fs::is_directory(arg, ec)) {
-    std::vector<std::string> found;
     for (const auto& entry : fs::recursive_directory_iterator(arg, ec)) {
       if (entry.is_regular_file() && entry.path().extension() == ".lol") {
         found.push_back(entry.path().string());
       }
     }
     std::sort(found.begin(), found.end());
-    for (auto& p : found) out.push_back({std::move(p), 0, 0, "", 0});
-    return true;
+  } else if (fs::is_regular_file(arg, ec)) {
+    found.push_back(arg);
+  } else {
+    std::fprintf(stderr, "lolserve: no such file or directory: '%s'\n",
+                 arg.c_str());
+    return false;
   }
-  if (fs::is_regular_file(arg, ec)) {
-    out.push_back({arg, 0, 0, "", 0});
-    return true;
+  for (auto& path : found) {
+    out.push_back(tmpl);
+    out.back().name = std::move(path);
   }
-  std::fprintf(stderr, "lolserve: no such file or directory: '%s'\n",
-               arg.c_str());
-  return false;
+  return true;
 }
 
-/// Parses a manifest: `<path> [n_pes] [max_steps] [tenant] [deadline_ms]`,
-/// '#' starts a comment. Use `-` for tenant to skip to deadline_ms.
-/// Numeric fields are strict (see driver::parse_int); returns 0, or the
-/// exit status after reporting `file:line` (1 unreadable, 2 malformed).
-int read_manifest(const std::string& path, std::vector<JobSpec>& out) {
+/// Parses a manifest: `<path> [n_pes] [max_steps] [tenant] [deadline_ms]`
+/// into copies of `tmpl`; '#' starts a comment, `-` as tenant skips to
+/// deadline_ms. n_pes and max_steps parse as their run knobs do. Returns
+/// 0, or the exit status after reporting `file:line` (1 unreadable, 2
+/// malformed).
+int read_manifest(const std::string& path, const lol::service::Job& tmpl,
+                  std::vector<lol::service::Job>& out) {
+  using lol::service::KnobId;
   auto text = lol::driver::read_file(path);
   if (!text) {
     std::fprintf(stderr, "lolserve: cannot read manifest '%s'\n",
@@ -179,31 +164,31 @@ int read_manifest(const std::string& path, std::vector<JobSpec>& out) {
     std::vector<std::string> f;
     for (std::string tok; fields >> tok;) f.push_back(std::move(tok));
     if (f.empty()) continue;  // blank/comment-only line
-    auto bad = [&](const char* what, const std::string& value) {
-      std::fprintf(stderr, "lolserve: %s:%d: bad %s '%s'\n", path.c_str(),
-                   lineno, what, value.c_str());
-      return 2;
+    lol::service::Job job = tmpl;
+    job.name = f[0];
+    std::string err;
+    auto field = [&](KnobId id, const std::string& value) {
+      const lol::service::Knob& k = lol::service::knob(id);
+      if (err.empty()) err = k.set(job, value, k.key);
     };
-    if (f.size() > 5) return bad("trailing field", f[5]);
-    JobSpec spec;
-    spec.path = f[0];
-    if (f.size() > 1) {
-      auto n = lol::driver::parse_int(f[1], 1, lol::shmem::kMaxPes);
-      if (!n) return bad("n_pes", f[1]);
-      spec.n_pes = static_cast<int>(*n);
-    }
-    if (f.size() > 2) {
-      auto n = lol::driver::parse_uint(f[2]);
-      if (!n) return bad("max_steps", f[2]);
-      spec.max_steps = *n;
-    }
-    if (f.size() > 3 && f[3] != "-") spec.tenant = f[3];
-    if (f.size() > 4) {
+    if (f.size() > 5) err = "bad trailing field '" + f[5] + "'";
+    if (f.size() > 1) field(KnobId::kNPes, f[1]);
+    if (f.size() > 2) field(KnobId::kMaxSteps, f[2]);
+    if (f.size() > 3 && f[3] != "-") job.tenant = f[3];
+    if (f.size() > 4 && err.empty()) {
       auto n = lol::driver::parse_uint(f[4]);
-      if (!n) return bad("deadline_ms", f[4]);
-      spec.deadline_ms = *n;
+      if (n) job.deadline_ms = *n;
+      if (!n) {
+        err = lol::driver::bad_value("deadline_ms", f[4],
+                                     "an unsigned 64-bit integer");
+      }
     }
-    out.push_back(std::move(spec));
+    if (!err.empty()) {
+      std::fprintf(stderr, "lolserve: %s:%d: %s\n", path.c_str(), lineno,
+                   err.c_str());
+      return 2;
+    }
+    out.push_back(std::move(job));
   }
   return 0;
 }
@@ -280,33 +265,23 @@ bool client_send(int fd, const std::string& line) {
   return false;
 }
 
-/// Reads one member of an already-parsed event object as text (events
-/// are parsed once per line, then queried per field).
+/// Reads one member of an already-parsed event object as text: a
+/// string's text or a number's literal (events are parsed once per line,
+/// then queried per field).
 std::string event_field(const lol::service::wire::Json& doc,
                         const char* key) {
   const auto* v = doc.find(key);
   if (v == nullptr) return "";
-  if (v->is(lol::service::wire::Json::Kind::kString)) return v->str;
-  if (v->is(lol::service::wire::Json::Kind::kNumber)) {
-    return std::to_string(static_cast<long long>(v->num));
-  }
   if (v->is(lol::service::wire::Json::Kind::kBool)) {
     return v->b ? "true" : "false";
   }
-  return "";
+  return v->str;
 }
 
-/// What a --client invocation asks of the daemon.
+/// What a --client invocation asks of the daemon: one one-shot request,
+/// or (op kSubmit) the jobs given.
 struct ClientAction {
-  enum Kind {
-    kSubmit,
-    kCancel,
-    kStats,
-    kMetrics,
-    kPing,
-    kShutdown
-  } kind = kSubmit;
-  lol::service::JobId cancel_id = 0;
+  lol::service::wire::Request request;
   /// kSubmit only: cancel whatever is still running this long after
   /// submission (same-connection cancel — the scope the daemon allows).
   std::uint64_t cancel_after_ms = 0;
@@ -333,67 +308,47 @@ int run_client(const std::string& addr, const ClientAction& action,
     std::lock_guard<std::mutex> g(send_m);
     return client_send(fd, line);
   };
-  auto one_shot = [&](const std::string& request)
-      -> std::optional<lol::service::wire::Json> {
-    if (!send_line(request)) return std::nullopt;
-    auto line = reader.next();
-    if (!line) {
-      std::fprintf(stderr, "lolserve: daemon closed the connection\n");
-      return std::nullopt;
-    }
-    std::printf("%s\n", line->c_str());
-    return lol::service::wire::parse_json(*line);
-  };
-  auto expect_event = [&](const std::optional<lol::service::wire::Json>& doc,
-                          const char* want) {
-    return doc && event_field(*doc, "event") == want ? 0 : 1;
-  };
-
-  if (action.kind == ClientAction::kPing) {
-    rc = expect_event(one_shot("{\"op\":\"ping\"}"), "pong");
-  } else if (action.kind == ClientAction::kStats) {
-    rc = expect_event(one_shot("{\"op\":\"stats\"}"), "stats");
-  } else if (action.kind == ClientAction::kMetrics) {
-    // Unlike the other one-shots this prints the *decoded* exposition,
-    // not the NDJSON envelope, so the output pipes straight into any
-    // Prometheus-text consumer.
-    if (!send_line("{\"op\":\"metrics\"}")) {
+  using Op = lol::service::wire::Request::Op;
+  const Op op = action.request.op;
+  if (op != Op::kSubmit) {
+    if (!send_line(lol::service::wire::request_line(action.request))) {
       ::close(fd);
       return 1;
     }
     auto line = reader.next();
     if (!line) {
       std::fprintf(stderr, "lolserve: daemon closed the connection\n");
-      rc = 1;
-    } else {
-      auto doc = lol::service::wire::parse_json(*line);
-      const lol::service::wire::Json* text =
-          doc && event_field(*doc, "event") == "metrics" ? doc->find("text")
-                                                         : nullptr;
-      if (text != nullptr &&
-          text->is(lol::service::wire::Json::Kind::kString)) {
-        std::fputs(text->str.c_str(), stdout);
-      } else {
-        std::printf("%s\n", line->c_str());  // surface the error event
-        rc = 1;
-      }
+      ::close(fd);
+      return 1;
     }
-  } else if (action.kind == ClientAction::kShutdown) {
-    rc = expect_event(one_shot("{\"op\":\"shutdown\"}"), "bye");
-  } else if (action.kind == ClientAction::kCancel) {
-    // Note the daemon scopes cancellation to ids submitted on the same
+    // The daemon scopes cancellation to ids submitted on the same
     // connection (so clients cannot kill other tenants' jobs by walking
     // the sequential id space); a standalone --cancel can therefore only
     // be refused, and the refusal is reported in the exit code. Use
     // --cancel-after-ms with a submission for a cancel the daemon will
     // honor.
-    auto doc =
-        one_shot(lol::service::wire::cancel_request_line(action.cancel_id));
-    rc = expect_event(doc, "cancel") == 0 &&
-                 event_field(*doc, "ok") == "true"
+    auto doc = lol::service::wire::parse_json(*line);
+    const char* want = op == Op::kPing       ? "pong"
+                       : op == Op::kShutdown ? "bye"
+                       : op == Op::kStats    ? "stats"
+                       : op == Op::kMetrics  ? "metrics"
+                                             : "cancel";
+    rc = doc && event_field(*doc, "event") == want &&
+                 (op != Op::kCancel || event_field(*doc, "ok") == "true")
              ? 0
              : 1;
-  } else if (!jobs.empty()) {
+    // --metrics prints the *decoded* exposition, not the NDJSON
+    // envelope, so the output pipes straight into any Prometheus-text
+    // consumer; everything else (and any error event) prints as sent.
+    const lol::service::wire::Json* text =
+        rc == 0 && op == Op::kMetrics ? doc->find("text") : nullptr;
+    if (text != nullptr && text->is(lol::service::wire::Json::Kind::kString)) {
+      std::fputs(text->str.c_str(), stdout);
+    } else {
+      std::printf("%s\n", line->c_str());
+      if (op == Op::kMetrics) rc = 1;
+    }
+  } else {
     for (const auto& job : jobs) {
       if (!send_line(lol::service::wire::submit_line(job))) {
         ::close(fd);
@@ -479,11 +434,6 @@ int run_client(const std::string& addr, const ClientAction& action,
       canceller_cv.notify_all();
       canceller.join();
     }
-  } else {
-    std::fprintf(stderr,
-                 "lolserve: --client wants jobs to submit or one of "
-                 "--cancel/--stats/--ping/--shutdown\n");
-    rc = 2;
   }
   ::close(fd);
   return rc;
@@ -579,6 +529,15 @@ int run_daemon(lol::service::ServiceOptions opts, const std::string& listen,
   return 0;
 }
 
+/// Daemon mode and the one-shot client requests take no job files or
+/// per-job flags: an argument left unconsumed is a usage error, as the
+/// batch path's positional files are for lolrun.
+void reject_leftovers(lol::driver::Cli& cli) {
+  if (!cli.positional().empty()) {
+    cli.fail("unexpected argument '" + cli.positional().front() + "'");
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -598,8 +557,17 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  opts.default_max_steps =
-      cli.uint_option("--max-steps").value_or(opts.default_max_steps);
+  // The step budget flag sets the service default, which wire jobs get
+  // too; batch jobs then ask for that default (0). A client runs no
+  // service: there the flag is left for the jobs' knobs, read below.
+  const bool daemon = cli.has_flag("--daemon");
+  const bool client = !daemon && cli.has_flag("--client");
+  lol::service::Job defaults;
+  defaults.max_steps = opts.default_max_steps;
+  if (!client) {
+    lol::service::read_flag(cli, lol::service::KnobId::kMaxSteps, defaults);
+  }
+  opts.default_max_steps = defaults.max_steps;
   opts.default_deadline_ms =
       cli.uint_option("--deadline-ms").value_or(opts.default_deadline_ms);
   if (auto weights = cli.option("--tenant-weights")) {
@@ -617,19 +585,17 @@ int main(int argc, char** argv) {
       cli.uint_option("--max-queued-per-tenant")
           .value_or(opts.max_queued_per_tenant));
   opts.tuner_cache_path = cli.option("--tuner-cache").value_or("");
-  const int opt_level =
-      static_cast<int>(cli.int_option("--opt-level", 0, 2).value_or(2));
 
-  if (cli.has_flag("--daemon")) {
+  if (daemon) {
     std::string listen = cli.option("--listen").value_or("tcp:4004");
     const int metrics_interval = static_cast<int>(
         cli.int_option("--metrics-interval", 0, kMaxInt).value_or(0));
     std::string metrics_out = cli.option("--metrics-out").value_or("");
+    reject_leftovers(cli);
     return run_daemon(std::move(opts), listen, metrics_interval,
                       metrics_out);
   }
 
-  bool client = cli.has_flag("--client");
 #if defined(_WIN32)
   if (client) {
     std::fprintf(stderr, "lolserve: --client needs POSIX sockets\n");
@@ -643,51 +609,41 @@ int main(int argc, char** argv) {
   std::string connect_addr;
   if (client) {
     connect_addr = cli.option("--connect").value_or("tcp:4004");
+    using Op = lol::service::wire::Request::Op;
+    Op& op = client_action.request.op;
+    op = Op::kSubmit;
     if (cli.has_flag("--ping")) {
-      client_action.kind = ClientAction::kPing;
+      op = Op::kPing;
     } else if (cli.has_flag("--stats")) {
-      client_action.kind = ClientAction::kStats;
+      op = Op::kStats;
     } else if (cli.has_flag("--metrics")) {
-      client_action.kind = ClientAction::kMetrics;
+      op = Op::kMetrics;
     } else if (cli.has_flag("--shutdown")) {
-      client_action.kind = ClientAction::kShutdown;
+      op = Op::kShutdown;
     } else if (auto id = cli.uint_option("--cancel")) {
-      client_action.kind = ClientAction::kCancel;
-      client_action.cancel_id = *id;
+      op = Op::kCancel;
+      client_action.request.id = *id;
     } else if (auto after = cli.uint_option("--cancel-after-ms")) {
       client_action.cancel_after_ms = *after;
     }
-    if (client_action.kind != ClientAction::kSubmit) {
+    if (op != Op::kSubmit) {
+      reject_leftovers(cli);
       return run_client(connect_addr, client_action, {});
     }
   }
 #endif
 
-  const int default_pes = static_cast<int>(
-      cli.int_option("-np", 1, lol::shmem::kMaxPes, "--np").value_or(1));
-  std::string default_tenant = cli.option("--tenant").value_or("");
-  lol::Backend backend = lol::Backend::kVm;
-  if (auto name = cli.option("--backend")) {
-    if (auto b = lol::backend_from_name(*name)) {
-      backend = *b;
-    } else {
-      std::fprintf(stderr, "lolserve: unknown backend '%s'\n", name->c_str());
-      return 2;
-    }
+  // Every command-line job starts from this template; a bad replay
+  // trace or fault spec is refused here, once, before any job runs.
+  lol::service::Job tmpl = defaults;
+  tmpl.max_steps = 0;
+  std::string record_path = cli.option("--record").value_or("");
+  if (!record_path.empty()) tmpl.schedule = lol::replay::ScheduleMode::kRecord;
+  lol::service::read_flags(cli, tmpl);
+  if (auto err = lol::service::resolve(tmpl, defaults, opts, nullptr).error;
+      !err.empty()) {
+    cli.fail(err);
   }
-  lol::shmem::ExecutorKind executor = lol::shmem::ExecutorKind::kPool;
-  if (auto name = cli.option("--executor")) {
-    if (auto e = lol::shmem::executor_from_name(*name)) {
-      executor = *e;
-    } else {
-      std::fprintf(stderr, "lolserve: unknown executor '%s'\n", name->c_str());
-      return 2;
-    }
-  }
-  const int pes_per_thread = static_cast<int>(
-      cli.int_option("--pes-per-thread", 0, lol::shmem::kMaxPes).value_or(0));
-  const int barrier_radix = static_cast<int>(
-      cli.int_option("--barrier-radix", 0, lol::shmem::kMaxPes).value_or(0));
   const int repeat =
       static_cast<int>(cli.int_option("--repeat", 0, kMaxInt).value_or(1));
   bool quiet = cli.has_flag("--quiet");
@@ -695,85 +651,24 @@ int main(int argc, char** argv) {
   const std::uint64_t shuffle_seed =
       cli.uint_option("--shuffle-seed").value_or(20170529);
 
-  // Record/replay + fault injection, applied to every job in the batch.
-  std::string record_path = cli.option("--record").value_or("");
-  auto schedule = lol::replay::ScheduleMode::kNone;
-  std::uint64_t perturb_seed = 0;
-  std::string replay_trace_text;
-  if (auto seed = cli.uint_option("--perturb-seed")) {
-    schedule = lol::replay::ScheduleMode::kPerturb;
-    perturb_seed = *seed;
-  } else if (!record_path.empty()) {
-    schedule = lol::replay::ScheduleMode::kRecord;
-  }
-  if (auto replay_path = cli.option("--replay")) {
-    // Same rules and messages as lolrun: a replay is one fixed schedule,
-    // and a bad trace is a usage error reported once, not once per job.
-    if (schedule != lol::replay::ScheduleMode::kNone) {
-      std::fprintf(stderr,
-                   "lolserve: --replay excludes --record/--perturb-seed\n");
-      return 2;
-    }
-    auto text = lol::driver::read_file(*replay_path);
-    if (!text) {
-      std::fprintf(stderr, "lolserve: cannot read trace '%s'\n",
-                   replay_path->c_str());
-      return 2;
-    }
-    std::string terr;
-    if (!lol::replay::Trace::parse(*text, &terr)) {
-      std::fprintf(stderr, "lolserve: bad trace '%s': %s\n",
-                   replay_path->c_str(), terr.c_str());
-      return 2;
-    }
-    schedule = lol::replay::ScheduleMode::kReplay;
-    replay_trace_text = std::move(*text);
-  }
-  std::string fault_spec = cli.option("--fault").value_or("");
-  if (!fault_spec.empty()) {
-    std::string ferr;
-    if (!lol::replay::parse_fault_spec(fault_spec, nullptr, &ferr)) {
-      std::fprintf(stderr, "lolserve: %s\n", ferr.c_str());
-      return 2;
-    }
-  }
-
-  std::vector<JobSpec> specs;
+  tmpl.tenant = cli.option("--tenant").value_or("");
+  std::vector<lol::service::Job> jobs;
   if (auto manifest = cli.option("--manifest")) {
-    if (int rc = read_manifest(*manifest, specs); rc != 0) return rc;
+    if (int rc = read_manifest(*manifest, tmpl, jobs); rc != 0) return rc;
   }
   for (const auto& arg : cli.positional()) {
-    if (!expand_path(arg, specs)) return 1;
+    if (!expand_path(arg, tmpl, jobs)) return 1;
   }
-  if (specs.empty() || default_pes < 1 || repeat < 1) {
-    return usage(argv[0]);
-  }
+  if (jobs.empty() || repeat < 1) return usage(argv[0], defaults);
 
   // Read every source once up front so IO errors surface before launch.
-  std::vector<lol::service::Job> jobs;
-  for (const auto& spec : specs) {
-    auto source = lol::driver::read_file(spec.path);
+  for (auto& job : jobs) {
+    auto source = lol::driver::read_file(job.name);
     if (!source) {
-      std::fprintf(stderr, "lolserve: cannot read '%s'\n", spec.path.c_str());
+      std::fprintf(stderr, "lolserve: cannot read '%s'\n", job.name.c_str());
       return 1;
     }
-    lol::service::Job job;
-    job.name = spec.path;
     job.source = std::move(*source);
-    job.n_pes = spec.n_pes > 0 ? spec.n_pes : default_pes;
-    job.max_steps = spec.max_steps;
-    job.tenant = spec.tenant.empty() ? default_tenant : spec.tenant;
-    job.deadline_ms = spec.deadline_ms;
-    job.backend = backend;
-    job.executor = executor;
-    job.pes_per_thread = pes_per_thread;
-    job.barrier_radix = barrier_radix;
-    job.schedule = schedule;
-    job.perturb_seed = perturb_seed;
-    job.replay_trace = replay_trace_text;
-    job.fault_spec = fault_spec;
-    job.opt_level = opt_level;
-    jobs.push_back(std::move(job));
   }
 
 #if !defined(_WIN32)
